@@ -1,11 +1,8 @@
 //! End-to-end on-air query benchmarks (simulator throughput): one window
-//! query and one 10NN query per scheme on a 2,000-object broadcast, plus
-//! a driver-level comparison of the incremental client state engine
-//! against the from-scratch baseline (`dsi_core::hotpath`).
+//! query and one 10NN query per scheme on a 2,000-object broadcast.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dsi_broadcast::LossModel;
-use dsi_core::hotpath::{self, StatePath};
 use dsi_datagen::{uniform, SpatialDataset};
 use dsi_geom::{Point, Rect};
 use dsi_sim::{Engine, Scheme};
@@ -37,40 +34,9 @@ fn bench_queries(c: &mut Criterion) {
     }
 }
 
-/// The tentpole's target path: window and 10NN through the DSI client
-/// driver with the incremental state engine vs the from-scratch oracle.
-fn bench_state_paths(c: &mut Criterion) {
-    let ds = SpatialDataset::build(&uniform(2_000, 42), 12);
-    let w = Rect::window_in_unit_square(Point::new(0.42, 0.58), 0.1);
-    let q = Point::new(0.42, 0.58);
-    let e = Engine::build(Scheme::dsi_reorganized(64), &ds, 64);
-    for (name, path) in [
-        ("incremental", StatePath::Incremental),
-        ("from_scratch", StatePath::FromScratch),
-    ] {
-        c.bench_function(&format!("driver/window_{name}"), |b| {
-            hotpath::set_state_path(path);
-            let mut start = 0u64;
-            b.iter(|| {
-                start = (start + 7919) % e.cycle_packets();
-                black_box(e.window(start, LossModel::None, start, black_box(&w)))
-            })
-        });
-        c.bench_function(&format!("driver/knn10_{name}"), |b| {
-            hotpath::set_state_path(path);
-            let mut start = 0u64;
-            b.iter(|| {
-                start = (start + 7919) % e.cycle_packets();
-                black_box(e.knn(start, LossModel::None, start, black_box(q), 10))
-            })
-        });
-    }
-    hotpath::set_state_path(StatePath::Incremental);
-}
-
 criterion_group!(
     name = queries;
     config = Criterion::default().sample_size(10);
-    targets = bench_queries, bench_state_paths
+    targets = bench_queries
 );
 criterion_main!(queries);

@@ -1,54 +1,49 @@
 //! Perf-tracking harness: measures client query-engine throughput and
-//! writes `BENCH_PR8.json` so later PRs have a trajectory to beat.
+//! writes `BENCH_PR8.json`-shaped records, so runs compare across
+//! commits.
 //!
-//! Runs seeded window and 10NN batches over one DSI broadcast twice —
-//! once on the incremental state path and once on the from-scratch
-//! baseline (`dsi_core::hotpath`) — single-threaded for stable timing,
-//! and reports mean **and p50/p95** latency/tuning bytes plus wall-clock
-//! queries per second and the incremental/from-scratch speedup. The
+//! Runs seeded window and 10NN batches over one DSI broadcast,
+//! single-threaded for stable timing, and reports mean **and p50/p95**
+//! latency/tuning bytes plus wall-clock queries per second. The
 //! percentiles are deterministic air-cost quantiles (no wall-clock in
-//! them), so they compare exactly across PRs.
+//! them), so they compare exactly across commits. Each batch is written
+//! as an `"incremental"` record, the shape every committed `BENCH_PR*.json`
+//! uses, so one parser reads them all.
 //!
 //! `--compare <prev.json>` reads a previous run (e.g. the committed
-//! `BENCH_PR5.json`), prints per-metric deltas, and exits non-zero when
-//! any incremental metric regressed by more than
-//! `DSI_BENCH_MAX_REGRESSION` (a fraction, default 0.10) — so CI can keep
-//! both the harness and the perf trajectory honest. Metrics absent from
-//! the older baseline (the percentiles, pre-PR 3) are skipped. The run's
-//! own JSON records the baseline it compared against (`compared_against`:
-//! path and, when present, the baseline's `pr` number) — gap PRs that
-//! ship no bench JSON leave the lineage readable.
+//! `BENCH_PR8.json`), prints per-metric deltas, and exits non-zero when
+//! any metric regressed by more than `DSI_BENCH_MAX_REGRESSION` (a
+//! fraction, default 0.10). When the previous run used the same `n` and
+//! `queries_per_batch`, the air metrics must also match it exactly: they
+//! are deterministic, so any difference is a behaviour change. Metrics
+//! absent from the older baseline (the percentiles, in the oldest files)
+//! are skipped. The run's own JSON records the baseline it compared against
+//! (`compared_against`: path and, when present, the baseline's `pr`
+//! number).
 //!
-//! Since PR 8 the run also exercises the **fleet engine**
-//! (`dsi_sim::fleet`): a population of `DSI_FLEET_CLIENTS` (default
-//! 200,000) concurrent clients on the same broadcast, A/B-measured in the
-//! same process against the classic one-`run_query_batch`-call-per-client
-//! loop over the *same* population (interleaved passes, so host noise
-//! hits both arms alike; the deliberately slow baseline is rate-measured
-//! on a deterministic population subsample). The `fleet` section of the
-//! JSON reports clients/sec, served events/sec, the baseline events/sec
-//! and speedup, and population latency/tuning p50/p95/p99. Fleet
-//! *outcomes* are pinned bit-identical to the sequential oracle by the
-//! differential suite and the `fleet` binary's equality gate; this
-//! harness only adds the throughput trajectory.
+//! The run also exercises the **fleet engine** (`dsi_sim::fleet`): a
+//! population of `DSI_FLEET_CLIENTS` (default 200,000) concurrent clients
+//! on the same broadcast, best of two passes. The `fleet` section of the
+//! JSON reports clients/sec, served events/sec and population
+//! latency/tuning p50/p95/p99. Fleet *outcomes* are pinned bit-identical
+//! to the sequential oracle by the differential suite and the `fleet`
+//! binary's equality gate; this harness only adds the throughput
+//! trajectory.
 //!
 //! Scale knobs: `DSI_N` (objects, default 10,000), `DSI_QUERIES` (queries
 //! per batch, default 200), `DSI_FLEET_CLIENTS` (fleet population,
 //! default 200,000), `DSI_BENCH_OUT` (output path, default
-//! `BENCH_PR8.json`).
-//!
-//! PR 7 shipped no bench JSON, so CI compares against the committed
-//! `BENCH_PR6.json`; the classic air metrics must stay bit-identical.
+//! `BENCH_PR8.json`). A knob that does not parse stops the run.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use dsi_bench::env_or;
 use dsi_broadcast::{LossModel, MeanStats, Query, QueryStats, Tuner};
-use dsi_core::hotpath::{self, StatePath};
 use dsi_core::{DsiAir, DsiConfig, KnnStrategy};
 use dsi_datagen::{knn_points, uniform, window_queries, SpatialDataset};
-use dsi_sim::fleet::{baseline_loop, run_fleet, BaselineRun, FleetSpec, FleetStats};
+use dsi_sim::fleet::{run_fleet, FleetSpec, FleetStats};
 use dsi_sim::{Engine, Scheme};
 
 const CAPACITY: u32 = 64;
@@ -75,13 +70,6 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     assert!(!sorted.is_empty());
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Deterministic tune-in instant for query `qi`.
@@ -162,19 +150,10 @@ fn finish(stats: Vec<QueryStats>, t0: Instant) -> BatchMetrics {
     }
 }
 
-fn batch_json(out: &mut String, name: &str, inc: BatchMetrics, scratch: BatchMetrics) {
-    let speedup = inc.queries_per_sec / scratch.queries_per_sec;
+fn batch_json(out: &mut String, name: &str, m: BatchMetrics) {
     let _ = write!(
         out,
-        "  \"{name}\": {{\n    \"incremental\": {},\n    \"from_scratch\": {},\n    \"speedup\": {speedup:.3}\n  }}",
-        metrics_json(inc),
-        metrics_json(scratch),
-    );
-}
-
-fn metrics_json(m: BatchMetrics) -> String {
-    format!(
-        "{{\"queries\": {}, \"wall_seconds\": {:.4}, \"queries_per_sec\": {:.1}, \"mean_latency_bytes\": {:.1}, \"mean_tuning_bytes\": {:.1}, \"p50_latency_bytes\": {}, \"p95_latency_bytes\": {}, \"p50_tuning_bytes\": {}, \"p95_tuning_bytes\": {}}}",
+        "  \"{name}\": {{\n    \"incremental\": {{\"queries\": {}, \"wall_seconds\": {:.4}, \"queries_per_sec\": {:.1}, \"mean_latency_bytes\": {:.1}, \"mean_tuning_bytes\": {:.1}, \"p50_latency_bytes\": {}, \"p95_latency_bytes\": {}, \"p50_tuning_bytes\": {}, \"p95_tuning_bytes\": {}}}\n  }}",
         m.queries,
         m.wall_seconds,
         m.queries_per_sec,
@@ -184,21 +163,19 @@ fn metrics_json(m: BatchMetrics) -> String {
         m.p95_latency_bytes,
         m.p50_tuning_bytes,
         m.p95_tuning_bytes
-    )
+    );
 }
 
-fn report(name: &str, inc: BatchMetrics, scratch: BatchMetrics) {
+fn report(name: &str, m: BatchMetrics) {
     println!(
-        "{name:>8}: incremental {:>9.1} q/s | from-scratch {:>9.1} q/s | speedup {:.2}x | mean latency {:.0} B, tuning {:.0} B | latency p50/p95 {}/{} B | tuning p50/p95 {}/{} B",
-        inc.queries_per_sec,
-        scratch.queries_per_sec,
-        inc.queries_per_sec / scratch.queries_per_sec,
-        inc.mean_latency_bytes,
-        inc.mean_tuning_bytes,
-        inc.p50_latency_bytes,
-        inc.p95_latency_bytes,
-        inc.p50_tuning_bytes,
-        inc.p95_tuning_bytes,
+        "{name:>8}: {:>9.1} q/s | mean latency {:.0} B, tuning {:.0} B | latency p50/p95 {}/{} B | tuning p50/p95 {}/{} B",
+        m.queries_per_sec,
+        m.mean_latency_bytes,
+        m.mean_tuning_bytes,
+        m.p50_latency_bytes,
+        m.p95_latency_bytes,
+        m.p50_tuning_bytes,
+        m.p95_tuning_bytes,
     );
 }
 
@@ -226,23 +203,32 @@ fn extract_top_number(json: &str, field: &str) -> Option<f64> {
 }
 
 /// Prints per-metric deltas against a previous run (already read into
-/// `prev`) and returns whether any incremental metric regressed beyond
+/// `prev`) and returns whether any metric regressed beyond
 /// `max_regression`: throughput dropping, or mean latency / tuning bytes
 /// (the paper's access-time and energy costs) growing, by more than the
-/// margin.
+/// margin. With `same_scale` (the previous run used this run's `n` and
+/// batch size) every air metric must also equal its previous value, at
+/// the one-decimal precision the JSON records.
 fn compare_against(
     prev_path: &str,
     prev: &str,
     batches: &[(&str, BatchMetrics)],
     max_regression: f64,
+    same_scale: bool,
 ) -> bool {
     let mut regressed = false;
     println!(
-        "--- comparison vs {prev_path} (fail beyond {:.0}% regression) ---",
-        max_regression * 100.0
+        "--- comparison vs {prev_path} (fail beyond {:.0}% regression{}) ---",
+        max_regression * 100.0,
+        if same_scale {
+            " or any air-metric change"
+        } else {
+            ""
+        }
     );
     for &(name, m) in batches {
-        // `(field, new value, higher-is-better)`.
+        // `(field, new value, higher-is-better)`; only throughput is
+        // higher-is-better, every other field is an air metric.
         let metrics = [
             ("queries_per_sec", m.queries_per_sec, true),
             ("mean_latency_bytes", m.mean_latency_bytes, false),
@@ -258,17 +244,16 @@ fn compare_against(
                 continue;
             };
             let ratio = new / old;
-            let bad = if higher_better {
-                ratio < 1.0 - max_regression
-            } else {
-                ratio > 1.0 + max_regression
-            };
-            let verdict = if bad {
-                regressed = true;
+            let verdict = if higher_better && ratio < 1.0 - max_regression
+                || !higher_better && ratio > 1.0 + max_regression
+            {
                 "REGRESSED"
+            } else if !higher_better && same_scale && format!("{new:.1}") != format!("{old:.1}") {
+                "CHANGED"
             } else {
                 "ok"
             };
+            regressed |= verdict != "ok";
             println!(
                 "{name:>8}.{field}: {new:>12.1} vs {old:>12.1} ({:+.1}%) {verdict}",
                 (ratio - 1.0) * 100.0,
@@ -278,79 +263,29 @@ fn compare_against(
     regressed
 }
 
-/// One fleet workload's interleaved A/B result.
-struct FleetAb {
-    stats: FleetStats,
-    baseline: BaselineRun,
-    baseline_stride: usize,
-}
-
-impl FleetAb {
-    /// Baseline events (tuning packets) served per second, from the
-    /// subsampled rate measurement.
-    fn baseline_events_per_sec(&self) -> f64 {
-        (self.baseline.tuning_bytes / CAPACITY as f64) / self.baseline.wall_seconds
-    }
-
-    /// Fleet served-events/sec over baseline events/sec.
-    fn events_speedup(&self) -> f64 {
-        self.stats.events_per_sec / self.baseline_events_per_sec()
-    }
-}
-
-/// Runs one fleet workload and its classic-loop baseline, interleaved
-/// (fleet, baseline, fleet, baseline), keeping the best pass of each arm.
-fn run_fleet_ab(
-    engine: &Arc<Engine>,
-    ds: &Arc<SpatialDataset>,
-    pool: Vec<Query>,
-    clients: usize,
-) -> FleetAb {
+/// Runs one fleet workload twice and keeps the faster pass.
+fn run_fleet_best(engine: &Arc<Engine>, pool: Vec<Query>, clients: usize) -> FleetStats {
     let spec = FleetSpec {
         skew: 1.1,
         ..FleetSpec::new(clients, pool)
     };
-    // Rate-measure the slow baseline on ~300 clients of the population.
-    let baseline_stride = clients.div_ceil(300).max(1);
-    let mut best: Option<(FleetStats, BaselineRun)> = None;
-    for _ in 0..2 {
-        let (stats, _) = run_fleet(engine, None, &spec);
-        let base = baseline_loop(engine, ds, &spec, baseline_stride);
-        best = Some(match best.take() {
-            None => (stats, base),
-            Some((bs, bb)) => (
-                if stats.wall_seconds < bs.wall_seconds {
-                    stats
-                } else {
-                    bs
-                },
-                if base.wall_seconds < bb.wall_seconds {
-                    base
-                } else {
-                    bb
-                },
-            ),
-        });
-    }
-    let (stats, baseline) = best.expect("two passes ran");
-    FleetAb {
-        stats,
-        baseline,
-        baseline_stride,
+    let (a, _) = run_fleet(engine, None, &spec);
+    let (b, _) = run_fleet(engine, None, &spec);
+    if b.wall_seconds < a.wall_seconds {
+        b
+    } else {
+        a
     }
 }
 
-fn fleet_report(name: &str, ab: &FleetAb) {
-    let s = &ab.stats;
+fn fleet_report(name: &str, s: &FleetStats) {
     println!(
-        "fleet {name:>6}: {} clients | {} drives ({:.1}% coalesced) | {:>9.0} clients/s | {:.3e} events/s | baseline {:.3e} events/s ({:.1}x) | lat p50/p95/p99 {}/{}/{} pkt | tun p50/p95/p99 {}/{}/{} pkt",
+        "fleet {name:>6}: {} clients | {} drives ({:.1}% coalesced) | {:>9.0} clients/s | {:.3e} events/s | lat p50/p95/p99 {}/{}/{} pkt | tun p50/p95/p99 {}/{}/{} pkt",
         s.clients,
         s.drives,
         100.0 * s.coalesced as f64 / s.clients.max(1) as f64,
         s.clients_per_sec,
         s.events_per_sec,
-        ab.baseline_events_per_sec(),
-        ab.events_speedup(),
         s.latency.p50,
         s.latency.p95,
         s.latency.p99,
@@ -360,21 +295,15 @@ fn fleet_report(name: &str, ab: &FleetAb) {
     );
 }
 
-fn fleet_json(out: &mut String, name: &str, ab: &FleetAb) {
-    let s = &ab.stats;
+fn fleet_json(out: &mut String, name: &str, s: &FleetStats) {
     let _ = write!(
         out,
-        "    \"{name}\": {{\"drives\": {}, \"coalesced\": {}, \"wall_seconds\": {:.4}, \"clients_per_sec\": {:.1}, \"events_per_sec\": {:.1}, \"baseline_clients\": {}, \"baseline_stride\": {}, \"baseline_wall_seconds\": {:.4}, \"baseline_events_per_sec\": {:.1}, \"events_speedup\": {:.2}, \"latency_p50\": {}, \"latency_p95\": {}, \"latency_p99\": {}, \"tuning_p50\": {}, \"tuning_p95\": {}, \"tuning_p99\": {}, \"share_hits\": {}, \"share_misses\": {}}}",
+        "    \"{name}\": {{\"drives\": {}, \"coalesced\": {}, \"wall_seconds\": {:.4}, \"clients_per_sec\": {:.1}, \"events_per_sec\": {:.1}, \"latency_p50\": {}, \"latency_p95\": {}, \"latency_p99\": {}, \"tuning_p50\": {}, \"tuning_p95\": {}, \"tuning_p99\": {}, \"share_hits\": {}, \"share_misses\": {}}}",
         s.drives,
         s.coalesced,
         s.wall_seconds,
         s.clients_per_sec,
         s.events_per_sec,
-        ab.baseline.clients,
-        ab.baseline_stride,
-        ab.baseline.wall_seconds,
-        ab.baseline_events_per_sec(),
-        ab.events_speedup(),
         s.latency.p50,
         s.latency.p95,
         s.latency.p99,
@@ -387,11 +316,11 @@ fn fleet_json(out: &mut String, name: &str, ab: &FleetAb) {
 }
 
 fn main() {
-    let n = env_usize("DSI_N", 10_000);
-    let n_queries = env_usize("DSI_QUERIES", 200);
+    let n: usize = env_or("DSI_N", 10_000);
+    let n_queries: usize = env_or("DSI_QUERIES", 200);
     assert!(n > 0, "DSI_N must be at least 1");
     assert!(n_queries > 0, "DSI_QUERIES must be at least 1");
-    let out_path = std::env::var("DSI_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR8.json".into());
+    let out_path: String = env_or("DSI_BENCH_OUT", "BENCH_PR8.json".into());
     let args: Vec<String> = std::env::args().collect();
     let compare_path = args
         .iter()
@@ -412,10 +341,7 @@ fn main() {
         },
         None => "null".to_string(),
     };
-    let max_regression = std::env::var("DSI_BENCH_MAX_REGRESSION")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.10);
+    let max_regression: f64 = env_or("DSI_BENCH_MAX_REGRESSION", 0.10);
 
     println!("=== DSI client query-engine perf (N = {n}, {n_queries} queries/batch, {CAPACITY} B packets) ===");
     let ds = SpatialDataset::build(&uniform(n, 42), ORDER);
@@ -423,16 +349,12 @@ fn main() {
     let windows = window_queries(n_queries, WINDOW_RATIO, 99);
     let points = knn_points(n_queries, 17);
 
-    // Correctness pass (untimed): both paths must answer identically.
-    hotpath::set_state_path(StatePath::Incremental);
-    run_windows(&air, &windows[..n_queries.min(20)], Some(&ds));
-    run_knns(&air, &points[..n_queries.min(20)], Some(&ds));
-    hotpath::set_state_path(StatePath::FromScratch);
+    // Correctness pass (untimed): answers must equal brute force.
     run_windows(&air, &windows[..n_queries.min(20)], Some(&ds));
     run_knns(&air, &points[..n_queries.min(20)], Some(&ds));
 
-    // Timed passes: warm up each path once, then keep the best of three
-    // measured passes — shared-host scheduling noise otherwise dominates
+    // Timed passes: warm up once, then keep the best of three measured
+    // passes — shared-host scheduling noise otherwise dominates
     // run-to-run comparisons of sub-second batches.
     let fastest = |a: BatchMetrics, b: BatchMetrics| {
         if b.wall_seconds < a.wall_seconds {
@@ -441,40 +363,19 @@ fn main() {
             a
         }
     };
-    let mut measured = Vec::new();
-    for path in [StatePath::Incremental, StatePath::FromScratch] {
-        hotpath::set_state_path(path);
-        hotpath::reset_counters();
-        run_windows(&air, &windows, None);
-        run_knns(&air, &points, None);
-        let mut w = run_windows(&air, &windows, None);
-        let mut k = run_knns(&air, &points, None);
-        for _ in 0..2 {
-            w = fastest(w, run_windows(&air, &windows, None));
-            k = fastest(k, run_knns(&air, &points, None));
-        }
-        let (full, events) = hotpath::counters();
-        match path {
-            StatePath::Incremental => assert_eq!(
-                full, 0,
-                "incremental path performed a from-scratch recomputation"
-            ),
-            _ => assert!(full > 0, "baseline path did not recompute"),
-        }
-        let _ = events;
-        measured.push((w, k));
+    run_windows(&air, &windows, None);
+    run_knns(&air, &points, None);
+    let mut win = run_windows(&air, &windows, None);
+    let mut knn = run_knns(&air, &points, None);
+    for _ in 0..2 {
+        win = fastest(win, run_windows(&air, &windows, None));
+        knn = fastest(knn, run_knns(&air, &points, None));
     }
-    hotpath::set_state_path(StatePath::Incremental);
-    let (win_inc, knn_inc) = measured[0];
-    let (win_scr, knn_scr) = measured[1];
+    report("window", win);
+    report("knn10", knn);
 
-    report("window", win_inc, win_scr);
-    report("knn10", knn_inc, knn_scr);
-
-    // Fleet phase: the same broadcast serving a concurrent population,
-    // interleaved A/B against the classic per-client loop.
-    let fleet_clients = env_usize("DSI_FLEET_CLIENTS", 200_000);
-    let ds = Arc::new(ds);
+    // Fleet phase: the same broadcast serving a concurrent population.
+    let fleet_clients: usize = env_or("DSI_FLEET_CLIENTS", 200_000);
     let engine = Arc::new(Engine::build(
         Scheme::dsi_reorganized(CAPACITY),
         &ds,
@@ -487,15 +388,15 @@ fn main() {
         .copied()
         .map(|p| Query::Knn(p, K))
         .collect();
-    let fleet_win = run_fleet_ab(&engine, &ds, win_pool, fleet_clients);
-    let fleet_knn = run_fleet_ab(&engine, &ds, knn_pool, fleet_clients);
+    let fleet_win = run_fleet_best(&engine, win_pool, fleet_clients);
+    let fleet_knn = run_fleet_best(&engine, knn_pool, fleet_clients);
     fleet_report("window", &fleet_win);
     fleet_report("knn10", &fleet_knn);
     println!(
-        "fleet  knn10: effective {:.0} q/s vs {:.0} q/s classic loop this run ({:.1}x; BENCH_PR6 single-client reference ~529 q/s)",
-        fleet_knn.stats.clients_per_sec,
-        knn_inc.queries_per_sec,
-        fleet_knn.stats.clients_per_sec / knn_inc.queries_per_sec,
+        "fleet  knn10: effective {:.0} q/s vs {:.0} q/s single-client loop this run ({:.1}x)",
+        fleet_knn.clients_per_sec,
+        knn.queries_per_sec,
+        fleet_knn.clients_per_sec / knn.queries_per_sec,
     );
 
     let mut json = String::from("{\n");
@@ -503,14 +404,14 @@ fn main() {
         json,
         "  \"bench\": \"dsi_client_query_engine\",\n  \"pr\": {PR},\n  \"compared_against\": {compared_against},\n  \"n\": {n},\n  \"queries_per_batch\": {n_queries},\n  \"capacity_bytes\": {CAPACITY},\n  \"k\": {K},\n  \"window_ratio\": {WINDOW_RATIO},"
     );
-    batch_json(&mut json, "window", win_inc, win_scr);
+    batch_json(&mut json, "window", win);
     json.push_str(",\n");
-    batch_json(&mut json, "knn10", knn_inc, knn_scr);
+    batch_json(&mut json, "knn10", knn);
     json.push_str(",\n");
     let _ = writeln!(
         json,
         "  \"fleet\": {{\n    \"clients\": {fleet_clients},\n    \"workers\": {},",
-        fleet_win.stats.workers
+        fleet_win.workers
     );
     fleet_json(&mut json, "window", &fleet_win);
     json.push_str(",\n");
@@ -520,8 +421,10 @@ fn main() {
     println!("[wrote {out_path}]");
 
     if let Some((prev_path, prev)) = baseline {
-        let batches = [("window", win_inc), ("knn10", knn_inc)];
-        if compare_against(&prev_path, &prev, &batches, max_regression) {
+        let same_scale = extract_top_number(&prev, "n") == Some(n as f64)
+            && extract_top_number(&prev, "queries_per_batch") == Some(n_queries as f64);
+        let batches = [("window", win), ("knn10", knn)];
+        if compare_against(&prev_path, &prev, &batches, max_regression, same_scale) {
             eprintln!("perf regression beyond the allowed margin");
             std::process::exit(1);
         }

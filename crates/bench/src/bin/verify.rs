@@ -14,13 +14,6 @@ use dsi_core::KnnStrategy;
 use dsi_datagen::{knn_points, window_queries, SpatialDataset};
 use dsi_sim::{Engine, Scheme};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The static coalescing proof talks about the *static* anchor map; the
 /// fleet dedups on the *dynamic* `Engine::tune_anchor`. Soundness needs
 /// the dynamic partition to refine the static one: whenever two tune-ins
@@ -60,7 +53,7 @@ fn crosscheck_anchors(engine: &Engine, report: &dsi_verify::VerifyReport) -> Res
 }
 
 fn main() -> ExitCode {
-    let n = env_usize("DSI_N", 300);
+    let n = dsi_bench::env_or("DSI_N", 300);
     let ds = SpatialDataset::build(&dsi_datagen::uniform(n, 42), 10);
     let schemes = [
         ("DSI-reorg", Scheme::dsi_reorganized(64)),

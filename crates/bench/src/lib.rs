@@ -7,18 +7,52 @@
 //! drops both CSV copies (`results/<name>_<i>.csv`) and one combined JSON
 //! result (`results/<name>.json`) under `results/`. Scale knobs come from
 //! the environment: `DSI_QUERIES` (default 200), `DSI_N` (default 10,000),
-//! `DSI_VALIDATE=0` to skip ground-truth checks.
+//! `DSI_VALIDATE=0` to skip ground-truth checks. Every knob is read with
+//! [`env_or`], so a value that does not parse stops the run instead of
+//! silently falling back to the default.
 
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Instant;
 
 use dsi_sim::experiments::ExpOptions;
 use dsi_sim::Table;
 
+/// The environment knob `name` parsed as `T`, or `default` when unset.
+/// A value that does not parse exits the process with status 2 and a
+/// message naming the variable.
+pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref(), default).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?} is not a valid {}", std::any::type_name::<T>())),
+    }
+}
+
+/// Experiment options from the environment: `DSI_QUERIES` (default
+/// 200), `DSI_N` (default 10,000, the paper's scale) and `DSI_VALIDATE`
+/// (default 1; `0` skips the brute-force checks).
+pub fn exp_options_from_env() -> ExpOptions {
+    ExpOptions {
+        n_queries: env_or("DSI_QUERIES", 200),
+        dataset_n: env_or("DSI_N", 10_000),
+        validate: env_or("DSI_VALIDATE", 1u8) != 0,
+    }
+}
+
 /// Runs one experiment end to end: banner, tables, CSV + JSON dump,
 /// timing.
 pub fn run_experiment(name: &str, f: impl FnOnce(&ExpOptions) -> Vec<Table>) {
-    let opts = ExpOptions::from_env();
+    let opts = exp_options_from_env();
     println!(
         "=== {name} (N = {}, {} queries/point, validate = {}) ===",
         opts.dataset_n, opts.n_queries, opts.validate
@@ -61,4 +95,27 @@ fn write_json(
 
 fn csv_path(name: &str, idx: usize) -> PathBuf {
     PathBuf::from("results").join(format!("{name}_{idx}.csv"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knobs_default_when_unset_and_reject_garbage() {
+        assert_eq!(parse_knob("DSI_N", None, 10_000usize), Ok(10_000));
+        assert_eq!(parse_knob("DSI_N", Some("800"), 10_000usize), Ok(800));
+        let err = parse_knob("DSI_N", Some("10k"), 10_000usize).unwrap_err();
+        assert!(err.contains("DSI_N") && err.contains("10k"), "{err}");
+        assert!(parse_knob("DSI_N", Some(""), 1usize).is_err());
+        assert!(parse_knob("DSI_VALIDATE", Some("yes"), 1u8).is_err());
+        assert_eq!(
+            parse_knob("DSI_BENCH_MAX_REGRESSION", Some("0.6"), 0.1f64),
+            Ok(0.6)
+        );
+        assert_eq!(
+            parse_knob("DSI_BENCH_OUT", Some("b.json"), String::new()).as_deref(),
+            Ok("b.json")
+        );
+    }
 }

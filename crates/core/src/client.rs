@@ -22,9 +22,8 @@
 //! resolved header applies a localized delta inside [`QueryState`], so the
 //! steady-state loop re-derives nothing and — together with the scratch
 //! buffers in [`QueryScratch`] — performs no per-iteration allocations on
-//! the no-loss path. The original from-scratch derivation remains
-//! available per thread via [`crate::hotpath`] as benchmark baseline and
-//! differential-test oracle.
+//! the no-loss path. In dsi-core's unit tests the driver audits that
+//! state against the from-scratch oracle after every event.
 //!
 //! What differs between queries — which intervals are targets, which
 //! objects qualify, when the query is complete, which remainder to chase
@@ -246,6 +245,7 @@ pub(crate) fn run_query<M: QueryMode>(
         // every remainder derived from them — is within the radius the
         // targets were refreshed for.
         state.refresh_targets(|know, out| mode.refresh_targets(know, out));
+        #[cfg(test)]
         state.audit_rem();
         if state.settled() && mode.complete() {
             break;
@@ -646,6 +646,71 @@ fn plan_duration(
                     None => f.object_packets as u64,
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dsi_broadcast::{LossModel, Tuner};
+    use dsi_datagen::{uniform, SpatialDataset};
+    use dsi_geom::{Point, Rect};
+    use proptest::prelude::*;
+
+    use crate::{hotpath, DsiAir, DsiConfig, KnnStrategy};
+
+    // Differential test of the incremental query-state engine. In this
+    // test build the driver asserts, after every applied event (learned
+    // bound, resolved header) and once per loop iteration, that its
+    // incrementally maintained cleared set and remainders equal the
+    // from-scratch `cleared_regions` + `subtract_ranges` oracle. Running
+    // full lossy window and kNN queries therefore *is* the differential
+    // property test: any divergence panics inside the driver.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn incremental_state_equals_oracle_under_loss(
+            n in 30usize..140,
+            ds_seed in any::<u64>(),
+            start_seed in any::<u64>(),
+            theta in 0.05..0.45f64,
+            cx in 0.0..1.0f64, cy in 0.0..1.0f64, side in 0.05..0.5f64,
+            qx in -0.1..1.1f64, qy in -0.1..1.1f64,
+            k in 1usize..10,
+            aggressive in any::<bool>(),
+            reorganized in any::<bool>(),
+        ) {
+            let cfg = if reorganized {
+                DsiConfig::paper_reorganized()
+            } else {
+                DsiConfig::paper_default()
+            };
+            let ds = SpatialDataset::build(&uniform(n, ds_seed), 8);
+            let air = DsiAir::build(&ds, cfg);
+            let loss = LossModel::iid(theta);
+            let start = start_seed % air.program().len();
+            hotpath::reset_counters();
+
+            // Window run: audited against the oracle after every event.
+            let w = Rect::window_in_unit_square(Point::new(cx, cy), side);
+            let mut tuner = Tuner::tune_in(air.program(), start, loss.clone(), start_seed);
+            let got = air.window_query(&mut tuner, &w);
+            prop_assert_eq!(got, ds.brute_window(&w));
+
+            // kNN run, both navigation strategies reachable.
+            let strategy = if aggressive {
+                KnnStrategy::Aggressive
+            } else {
+                KnnStrategy::Conservative
+            };
+            let q = Point::new(qx, qy);
+            let mut tuner = Tuner::tune_in(air.program(), start, loss, start_seed ^ 1);
+            let got = air.knn_query(&mut tuner, q, k, strategy);
+            prop_assert_eq!(got, ds.brute_knn(q, k.min(n)));
+
+            // The audit really ran: every loop iteration derives the oracle.
+            prop_assert!(hotpath::counters().0 > 0, "oracle audit never ran");
         }
     }
 }

@@ -1,50 +1,22 @@
-//! Instrumentation and path selection for the client query hot loop.
+//! Work counters for the client query hot loop.
 //!
 //! The query driver maintains its cleared-region / remainder state
-//! *incrementally* (deltas applied on each `learn` / frame-visit event).
-//! For benchmarking and differential testing the original from-scratch
-//! derivation is kept alive behind a per-thread switch:
+//! *incrementally*: every `learn` / frame-visit event applies a localized
+//! delta (see [`crate::state`]). These thread-local counters tally the
+//! applied deltas, so benchmarks can report the state work per query as
+//! a deterministic count next to their wall-clock figures.
 //!
-//! * [`StatePath::Incremental`] — production path: no full recomputation,
-//!   scratch buffers reused across loop iterations.
-//! * [`StatePath::FromScratch`] — the pre-optimization baseline: cleared
-//!   regions and remainders re-derived from the scan log on every loop
-//!   iteration. The `perf` binary toggles this to measure the speedup.
-//! * [`StatePath::Audit`] — incremental path plus, after every event, an
-//!   `assert_eq!` against the from-scratch oracle. The differential
-//!   property tests run under this.
-//!
-//! The switch and the counters are thread-local, so concurrent tests and
-//! simulations do not interfere.
+//! In dsi-core's own unit tests the driver additionally cross-checks its
+//! state against the from-scratch oracle after every event; each oracle
+//! derivation is tallied as a full recompute. Outside that test build no
+//! code path recomputes from scratch, so the first field of
+//! [`counters`] stays 0.
 
 use std::cell::Cell;
 
-/// Which derivation of the client query state the driver uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatePath {
-    /// Incremental deltas, scratch buffers reused (production default).
-    #[default]
-    Incremental,
-    /// Full recomputation every loop iteration (benchmark baseline).
-    FromScratch,
-    /// Incremental, cross-checked against the oracle after every event.
-    Audit,
-}
-
 thread_local! {
-    static PATH: Cell<StatePath> = const { Cell::new(StatePath::Incremental) };
     static FULL_RECOMPUTES: Cell<u64> = const { Cell::new(0) };
     static INCREMENTAL_EVENTS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Selects the state path for queries run on this thread.
-pub fn set_state_path(path: StatePath) {
-    PATH.with(|p| p.set(path));
-}
-
-/// The state path queries on this thread currently use.
-pub fn state_path() -> StatePath {
-    PATH.with(|p| p.get())
 }
 
 /// Zeroes this thread's event counters.
@@ -55,8 +27,9 @@ pub fn reset_counters() {
 
 /// `(full_recomputes, incremental_events)` accrued on this thread since
 /// the last [`reset_counters`]. A full recompute is one from-scratch
-/// cleared-region derivation; an incremental event is one applied delta
-/// (frame contribution grown, or remainder subtraction).
+/// cleared-region derivation by the test-build audit (always 0 outside
+/// it); an incremental event is one applied delta (frame contribution
+/// grown, or remainder narrowing).
 pub fn counters() -> (u64, u64) {
     (
         FULL_RECOMPUTES.with(|c| c.get()),
@@ -64,6 +37,7 @@ pub fn counters() -> (u64, u64) {
     )
 }
 
+#[cfg(test)]
 pub(crate) fn count_full_recompute() {
     FULL_RECOMPUTES.with(|c| c.set(c.get() + 1));
 }
@@ -72,48 +46,9 @@ pub(crate) fn count_incremental_event() {
     INCREMENTAL_EVENTS.with(|c| c.set(c.get() + 1));
 }
 
-/// Runs `f` with the thread's state path set to `path`, restoring the
-/// previous path afterwards (also on panic).
-pub fn with_state_path<R>(path: StatePath, f: impl FnOnce() -> R) -> R {
-    struct Restore(StatePath);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_state_path(self.0);
-        }
-    }
-    let _restore = Restore(state_path());
-    set_state_path(path);
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn path_is_thread_local_and_restored() {
-        assert_eq!(state_path(), StatePath::Incremental);
-        let observed = with_state_path(StatePath::Audit, || {
-            let inner = state_path();
-            std::thread::spawn(|| {
-                assert_eq!(state_path(), StatePath::Incremental);
-            })
-            .join()
-            .unwrap();
-            inner
-        });
-        assert_eq!(observed, StatePath::Audit);
-        assert_eq!(state_path(), StatePath::Incremental);
-    }
-
-    #[test]
-    fn restored_on_panic() {
-        let r = std::panic::catch_unwind(|| {
-            with_state_path(StatePath::FromScratch, || panic!("boom"));
-        });
-        assert!(r.is_err());
-        assert_eq!(state_path(), StatePath::Incremental);
-    }
 
     #[test]
     fn counters_accumulate_and_reset() {

@@ -20,8 +20,9 @@
 //!   **incrementally**: every `learn` / header event applies a localized
 //!   delta instead of re-deriving the whole state, which is what keeps
 //!   the query loop allocation-free in steady state. The from-scratch
-//!   derivation survives as [`cleared_regions`] — the differential-test
-//!   oracle and the benchmark baseline (see [`crate::hotpath`]).
+//!   derivation survives only in the test build, as the oracle
+//!   `cleared_regions` that the driver is audited against after every
+//!   event.
 //! * [`Retries`] — object slots whose header or payload was lost and must
 //!   be re-fetched in a later cycle, kept sorted per broadcast slot so
 //!   both visits and navigation read them without re-sorting.
@@ -29,10 +30,10 @@
 // dsi-lint: allow(hash): scan-log lookups only; reads are per-slot, never iterated for output
 use std::collections::HashMap;
 
-use dsi_hilbert::{merge_ranges, HcRange};
+use dsi_hilbert::HcRange;
 
 use crate::client::TargetsChange;
-use crate::hotpath::{self, StatePath};
+use crate::hotpath;
 use crate::layout::DsiLayout;
 
 /// Accumulated frame-boundary knowledge (exact minimum HC per frame).
@@ -231,6 +232,7 @@ impl ScanLog {
     }
 
     /// Iterates over scanned frames.
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = (&u32, &FrameScan)> {
         self.frames.iter()
     }
@@ -393,9 +395,8 @@ impl ClearedSet {
 }
 
 /// Derives the HC intervals the client has fully accounted for, from
-/// scratch. This is the differential-test **oracle** and the
-/// `StatePath::FromScratch` benchmark baseline; the production path
-/// maintains the same set incrementally in [`QueryState`].
+/// scratch. This is the test-build **oracle**; the driver maintains the
+/// same set incrementally in [`QueryState`].
 ///
 /// For every scanned frame the resolved *prefix* of object headers
 /// `h₀ … h_{j−1}` clears `[h₀, h_{j−1}]` (those objects were examined, and
@@ -404,7 +405,9 @@ impl ClearedSet {
 /// the end of HC space for the last frame) because the gap provably
 /// contains no objects. The region below the global minimum is cleared by
 /// the schema.
+#[cfg(test)]
 pub(crate) fn cleared_regions(log: &ScanLog, know: &Knowledge, layout: &DsiLayout) -> Vec<HcRange> {
+    hotpath::count_full_recompute();
     let mut out = Vec::with_capacity(log.frames.len() + 1);
     if layout.global_min_hc() > 0 {
         out.push(HcRange::new(0, layout.global_min_hc() - 1));
@@ -448,7 +451,7 @@ pub(crate) fn cleared_regions(log: &ScanLog, know: &Knowledge, layout: &DsiLayou
         };
         out.push(HcRange::new(first, hi.max(first)));
     }
-    merge_ranges(&mut out);
+    dsi_hilbert::merge_ranges(&mut out);
     out
 }
 
@@ -487,6 +490,7 @@ pub(crate) fn subtract_ranges_into(
 }
 
 /// `targets − cleared` as a fresh Vec (oracle-side convenience).
+#[cfg(test)]
 pub(crate) fn subtract_ranges(targets: &[HcRange], cleared: &[HcRange]) -> Vec<HcRange> {
     let mut out = Vec::new();
     subtract_ranges_into(targets, cleared, &mut out);
@@ -559,8 +563,8 @@ pub(crate) fn subtract_range_in_place(rem: &mut Vec<HcRange>, c: HcRange) {
 /// The query driver's aggregate state, with incremental cleared/remainder
 /// maintenance.
 ///
-/// Invariant (checked against the oracle under `StatePath::Audit`): after
-/// every applied event, `cleared` equals [`cleared_regions`] of the
+/// Invariant (checked against the oracle in the test build): after every
+/// applied event, `cleared` equals `cleared_regions` of the
 /// current scan log and knowledge, and `rem` equals
 /// `targets − cleared` minus ranges the mode declared dead.
 pub(crate) struct QueryState<'l> {
@@ -576,7 +580,6 @@ pub(crate) struct QueryState<'l> {
     rem: Vec<HcRange>,
     /// Swap buffer for in-place remainder narrowing.
     rem_scratch: Vec<HcRange>,
-    path: StatePath,
 }
 
 impl<'l> QueryState<'l> {
@@ -595,7 +598,6 @@ impl<'l> QueryState<'l> {
             targets: Vec::new(),
             rem: Vec::new(),
             rem_scratch: Vec::new(),
-            path: hotpath::state_path(),
         }
     }
 
@@ -636,10 +638,6 @@ impl<'l> QueryState<'l> {
     /// Re-derives frame `t`'s cleared contribution and applies the growth
     /// delta to the cleared set and the remainders.
     fn refresh_frame(&mut self, t: u32) {
-        if self.path == StatePath::FromScratch {
-            // The baseline re-derives everything each loop iteration.
-            return;
-        }
         let Some(scan) = self.log.get(t) else { return };
         let Some(new) = scan.contribution(t, &self.know, self.layout) else {
             return;
@@ -661,9 +659,8 @@ impl<'l> QueryState<'l> {
         hotpath::count_incremental_event();
         self.cleared.insert(new);
         subtract_range_in_place(&mut self.rem, new);
-        if self.path == StatePath::Audit {
-            self.audit_cleared();
-        }
+        #[cfg(test)]
+        self.audit_cleared();
     }
 
     /// Gives the mode a chance to rebuild its target set (in place, into
@@ -672,36 +669,21 @@ impl<'l> QueryState<'l> {
     /// remainders are the old ones intersected with the new targets
     /// (dead ranges previously dropped by liveness lie outside the shrunk
     /// target set, so the intersection re-derives exactly
-    /// `targets − cleared` without touching the cleared set). Under
-    /// `FromScratch` the remainders are instead re-derived fully, every
-    /// call — the pre-optimization behaviour the benchmarks compare
-    /// against.
+    /// `targets − cleared` without touching the cleared set).
     pub fn refresh_targets(
         &mut self,
         refresh: impl FnOnce(&Knowledge, &mut Vec<HcRange>) -> TargetsChange,
     ) {
-        let change = refresh(&self.know, &mut self.targets);
-        match self.path {
-            StatePath::FromScratch => {
-                hotpath::count_full_recompute();
-                // Faithful to the pre-optimization loop: a fresh copy of
-                // the targets, a fresh cleared list and a fresh remainder
-                // list, allocated every iteration.
-                let targets = self.targets.clone();
-                let cleared = cleared_regions(&self.log, &self.know, self.layout);
-                self.rem = subtract_ranges(&targets, &cleared);
+        match refresh(&self.know, &mut self.targets) {
+            TargetsChange::Unchanged => {}
+            TargetsChange::Replaced => {
+                subtract_ranges_into(&self.targets, self.cleared.as_slice(), &mut self.rem);
             }
-            StatePath::Incremental | StatePath::Audit => match change {
-                TargetsChange::Unchanged => {}
-                TargetsChange::Replaced => {
-                    subtract_ranges_into(&self.targets, self.cleared.as_slice(), &mut self.rem);
-                }
-                TargetsChange::Narrowed => {
-                    hotpath::count_incremental_event();
-                    intersect_ranges_into(&self.rem, &self.targets, &mut self.rem_scratch);
-                    std::mem::swap(&mut self.rem, &mut self.rem_scratch);
-                }
-            },
+            TargetsChange::Narrowed => {
+                hotpath::count_incremental_event();
+                intersect_ranges_into(&self.rem, &self.targets, &mut self.rem_scratch);
+                std::mem::swap(&mut self.rem, &mut self.rem_scratch);
+            }
         }
     }
 
@@ -710,6 +692,7 @@ impl<'l> QueryState<'l> {
         self.rem.is_empty() && self.retries.is_empty()
     }
 
+    #[cfg(test)]
     fn audit_cleared(&self) {
         let oracle = cleared_regions(&self.log, &self.know, self.layout);
         assert_eq!(
@@ -719,7 +702,7 @@ impl<'l> QueryState<'l> {
         );
     }
 
-    /// Audit-path cross-check of the remainder state, called once per
+    /// Test-build cross-check of the remainder state, called once per
     /// driver iteration.
     ///
     /// The cleared assert here is not redundant with the per-delta
@@ -727,10 +710,8 @@ impl<'l> QueryState<'l> {
     /// when a delta *is applied*, so it catches wrong deltas but not
     /// *missed* ones (say, a `learn` that failed to refresh its
     /// neighbour frame). This unconditional check catches the misses.
+    #[cfg(test)]
     pub fn audit_rem(&self) {
-        if self.path != StatePath::Audit {
-            return;
-        }
         let oracle_cleared = cleared_regions(&self.log, &self.know, self.layout);
         assert_eq!(
             self.cleared.as_slice(),
@@ -954,12 +935,8 @@ mod tests {
 
     #[test]
     fn query_state_applies_deltas_incrementally() {
-        // Audit path: every delta below is cross-checked against the
-        // from-scratch oracle as it is applied.
-        hotpath::with_state_path(StatePath::Audit, query_state_delta_scenario);
-    }
-
-    fn query_state_delta_scenario() {
+        // Every delta below is cross-checked against the from-scratch
+        // oracle as it is applied.
         let l = layout();
         let mut qs = QueryState::new(&l, 1000);
         // Target the whole space; prime the remainder state.

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use dsi_broadcast::{LossModel, LossScope, Tuner};
-use dsi_core::hotpath::{self, StatePath};
+use dsi_core::hotpath;
 use dsi_core::knn_testkit::CandSet;
 use dsi_core::{DsiAir, DsiConfig, FramingPolicy, KnnStrategy, ReorgStyle};
 use dsi_datagen::{uniform, SpatialDataset};
@@ -146,62 +146,6 @@ proptest! {
         let b = air.window_query(&mut lossy, &w);
         prop_assert_eq!(a, b);
         prop_assert!(lossy.stats().latency_packets >= clean.stats().latency_packets);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Differential tests of the incremental query-state engine.
-//
-// Under `StatePath::Audit` the driver asserts, after every applied event
-// (learned bound, resolved header) and once per loop iteration, that its
-// incrementally maintained cleared set and remainders equal the
-// from-scratch `cleared_regions` + `subtract_ranges` oracle. Running full
-// lossy window and kNN queries in this mode therefore *is* the
-// differential property test: any divergence panics inside the driver.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn incremental_state_equals_oracle_under_loss(
-        n in 30usize..140,
-        ds_seed in any::<u64>(),
-        start_seed in any::<u64>(),
-        theta in 0.05..0.45f64,
-        cx in 0.0..1.0f64, cy in 0.0..1.0f64, side in 0.05..0.5f64,
-        qx in -0.1..1.1f64, qy in -0.1..1.1f64,
-        k in 1usize..10,
-        aggressive in any::<bool>(),
-        reorganized in any::<bool>(),
-    ) {
-        let cfg = if reorganized {
-            DsiConfig::paper_reorganized()
-        } else {
-            DsiConfig::paper_default()
-        };
-        let ds = SpatialDataset::build(&uniform(n, ds_seed), 8);
-        let air = DsiAir::build(&ds, cfg);
-        let loss = LossModel::iid(theta);
-        let start = start_seed % air.program().len();
-        hotpath::with_state_path(StatePath::Audit, || {
-            // Window run: audited against the oracle after every event.
-            let w = Rect::window_in_unit_square(Point::new(cx, cy), side);
-            let mut tuner = Tuner::tune_in(air.program(), start, loss.clone(), start_seed);
-            let got = air.window_query(&mut tuner, &w);
-            assert_eq!(got, ds.brute_window(&w));
-
-            // kNN run, both navigation strategies reachable.
-            let strategy = if aggressive {
-                KnnStrategy::Aggressive
-            } else {
-                KnnStrategy::Conservative
-            };
-            let q = Point::new(qx, qy);
-            let mut tuner = Tuner::tune_in(air.program(), start, loss, start_seed ^ 1);
-            let got = air.knn_query(&mut tuner, q, k, strategy);
-            assert_eq!(got, ds.brute_knn(q, k.min(n)));
-        });
     }
 }
 
@@ -380,21 +324,6 @@ fn incremental_path_never_recomputes_from_scratch() {
     let (full, events) = hotpath::counters();
     assert_eq!(full, 0, "incremental path must not recompute from scratch");
     assert!(events > 0, "incremental path must apply deltas");
-
-    // The from-scratch baseline answers identically but recomputes the
-    // cleared regions on every loop iteration.
-    hotpath::with_state_path(StatePath::FromScratch, || {
-        hotpath::reset_counters();
-        let mut tuner = Tuner::tune_in(air.program(), 17, LossModel::iid(0.3), 3);
-        assert_eq!(air.window_query(&mut tuner, &w), got_w);
-        let mut tuner = Tuner::tune_in(air.program(), 17, LossModel::iid(0.3), 4);
-        assert_eq!(
-            air.knn_query(&mut tuner, q, 5, KnnStrategy::Conservative),
-            got_k
-        );
-        let (full, _) = hotpath::counters();
-        assert!(full > 0, "baseline recomputes every iteration");
-    });
     assert_eq!(got_w, ds.brute_window(&w));
     assert_eq!(got_k, ds.brute_knn(q, 5));
 }

@@ -27,7 +27,6 @@
 mod curve;
 mod dist;
 mod ranges;
-mod zorder;
 
 pub use curve::HilbertCurve;
 pub use dist::min_dist2_to_range;
@@ -36,4 +35,3 @@ pub use ranges::{
     ranges_in_circle_with_dist_into, ranges_in_rect, ranges_in_rect_into,
     ranges_in_rect_with_dist_into, DistRange, HcRange,
 };
-pub use zorder::ZOrderCurve;

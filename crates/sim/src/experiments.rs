@@ -45,27 +45,6 @@ pub struct ExpOptions {
 }
 
 impl ExpOptions {
-    /// Paper-scale defaults, overridable via `DSI_QUERIES` / `DSI_N` /
-    /// `DSI_VALIDATE=0` environment variables.
-    pub fn from_env() -> Self {
-        let n_queries = std::env::var("DSI_QUERIES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200);
-        let dataset_n = std::env::var("DSI_N")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10_000);
-        let validate = std::env::var("DSI_VALIDATE")
-            .map(|v| v != "0")
-            .unwrap_or(true);
-        Self {
-            n_queries,
-            dataset_n,
-            validate,
-        }
-    }
-
     /// Tiny configuration for tests.
     pub fn smoke() -> Self {
         Self {

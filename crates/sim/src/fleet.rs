@@ -34,11 +34,9 @@
 //!    from the worker count — and results are merged by client index, so
 //!    **outcomes are bit-identical for any worker count**, including the
 //!    sequential oracle ([`run_fleet_oracle`], a plain per-client drive
-//!    loop). The `dsi_core::hotpath` state path is propagated into every
-//!    worker both by the pool's start hook and at the head of each
-//!    granule job.
+//!    loop).
 //! 4. **Shared decompositions.** Fleet workers install one
-//!    [`dsi_core::share::ShareCache`], so representatives of *different*
+//!    [`dsi_core::share::ShareCache`] from the pool's start hook, so representatives of *different*
 //!    cohorts running the same window query share its HC-segment
 //!    decomposition. Identical kNN queries already share circle
 //!    decompositions and candidate tables wholesale through their cohort
@@ -62,14 +60,12 @@ use std::time::Instant;
 use dsi_broadcast::{
     AntennaConfig, ChannelStats, DistSummary, Distribution, LossModel, Query, QueryStats,
 };
-use dsi_core::hotpath;
 use dsi_core::share::{self, ShareCache};
 use dsi_datagen::SpatialDataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::Engine;
-use crate::runner::{run_query_batch_at, BatchOptions};
 
 /// Multiplier of the per-query seed derivation, shared with
 /// [`crate::run_query_batch`] so fleet populations and classic batches
@@ -129,8 +125,8 @@ impl FleetSpec {
 
 /// The derived client population, structure-of-arrays: column `i` of each
 /// array is client `i`. A pure function of `(spec, cycle)`, shared by the
-/// fleet engine, the sequential oracle and the A/B baseline so all three
-/// drive the *same* clients.
+/// fleet engine and the sequential oracle so both drive the *same*
+/// clients.
 #[derive(Debug, Clone)]
 pub struct Population {
     /// Index into [`FleetSpec::pool`] per client.
@@ -528,12 +524,10 @@ pub fn run_fleet(
         keep_channels: spec.keep_channels,
     });
 
-    let state_path = hotpath::state_path();
     let hook_cache = Arc::clone(&cache);
     let pool = steal::Builder::new()
         .workers(workers)
         .on_thread_start(move || {
-            hotpath::set_state_path(state_path);
             share::install(Some(Arc::clone(&hook_cache)));
         })
         .build();
@@ -543,7 +537,6 @@ pub fn run_fleet(
         let shard = Arc::clone(&shared);
         let tx = tx.clone();
         batch.spawn(move || {
-            hotpath::set_state_path(state_path);
             let out = run_granule(&shard, lo, hi);
             let _ = tx.send(out);
         });
@@ -732,62 +725,6 @@ pub fn run_fleet_oracle(
         }
     }
     out
-}
-
-/// One classic-path baseline measurement; see [`baseline_loop`].
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineRun {
-    /// Wall-clock seconds of the loop.
-    pub wall_seconds: f64,
-    /// Clients actually driven (`ceil(population / stride)`).
-    pub clients: usize,
-    /// Total tuning bytes served to those clients (the event volume, in
-    /// the byte unit [`crate::BatchResult`] reports).
-    pub tuning_bytes: f64,
-}
-
-/// The classic-path A/B baseline: loops [`run_query_batch_at`] one client
-/// at a time over the *same* population (same starts, same seeds) — one
-/// full batch-runner invocation, thread scope included, per client, which
-/// is exactly what simulating a fleet cost before this module existed.
-/// `stride` subsamples the population (client 0, `stride`, `2·stride`, …)
-/// so the deliberately slow baseline can be *rate*-measured without
-/// paying the full population; `stride = 1` drives everyone. Returns the
-/// wall clock, the clients driven, and the tuning volume served to them,
-/// from which callers derive baseline events/sec. (Outcome equality is
-/// already pinned by the oracle and the differential suite; the A/B only
-/// measures time.)
-pub fn baseline_loop(
-    engine: &Engine,
-    dataset: &SpatialDataset,
-    spec: &FleetSpec,
-    stride: usize,
-) -> BaselineRun {
-    assert!(stride >= 1, "stride must be at least 1");
-    let cycle = engine.cycle_packets();
-    let pop = Population::derive(spec, cycle);
-    let opts = BatchOptions {
-        loss: spec.loss.clone(),
-        seed: spec.seed,
-        validate: spec.validate,
-        antennas: spec.antennas,
-    };
-    let mut clients = 0usize;
-    let mut tuning_bytes = 0.0f64;
-    let t0 = Instant::now();
-    for c in (0..pop.len()).step_by(stride) {
-        let query = [spec.pool[pop.query[c] as usize]];
-        let start = [pop.start[c]];
-        let seed = [pop.seed[c]];
-        let r = run_query_batch_at(engine, dataset, &query, &start, &seed, &opts);
-        clients += 1;
-        tuning_bytes += r.tuning_bytes;
-    }
-    BaselineRun {
-        wall_seconds: t0.elapsed().as_secs_f64().max(1e-9),
-        clients,
-        tuning_bytes,
-    }
 }
 
 #[cfg(test)]

@@ -114,37 +114,13 @@ pub fn run_query_batch(
     let starts: Vec<u64> = (0..queries.len())
         .map(|_| rng.gen_range(0..cycle))
         .collect();
-    let seeds: Vec<u64> = (0..queries.len())
-        .map(|qi| opts.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .collect();
-    run_query_batch_at(engine, dataset, queries, &starts, &seeds, opts)
-}
-
-/// [`run_query_batch`] with the per-query tune-in instants and loss seeds
-/// pinned by the caller instead of derived from `opts.seed`. This is the
-/// hook the fleet engine's A/B baseline uses to drive *exactly* the fleet
-/// population — same starts, same seeds — through the classic
-/// one-drive-loop-per-client path.
-pub fn run_query_batch_at(
-    engine: &Engine,
-    dataset: &SpatialDataset,
-    queries: &[Query],
-    starts: &[u64],
-    seeds: &[u64],
-    opts: &BatchOptions,
-) -> BatchResult {
-    assert_eq!(queries.len(), starts.len(), "one start per query");
-    assert_eq!(queries.len(), seeds.len(), "one seed per query");
+    let starts = &starts;
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(queries.len().max(1));
     let chunk = queries.len().div_ceil(threads.max(1)).max(1);
     let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; queries.len()];
-    // The query engine's state-path switch (incremental vs from-scratch,
-    // see `dsi_core::hotpath`) is thread-local; propagate the caller's
-    // choice into the worker threads so batch experiments honour it.
-    let state_path = dsi_core::hotpath::state_path();
     std::thread::scope(|scope| {
         for (qi_chunk, out_chunk) in queries
             .chunks(chunk)
@@ -154,13 +130,12 @@ pub fn run_query_batch_at(
         {
             let ((base, qs), out) = (qi_chunk, out_chunk);
             scope.spawn(move || {
-                dsi_core::hotpath::set_state_path(state_path);
                 for (i, q) in qs.iter().enumerate() {
                     let qi = base + i;
                     let o = engine.drive_antennas(
                         starts[qi],
                         opts.loss.clone(),
-                        seeds[qi],
+                        opts.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                         opts.antennas,
                         q,
                     );

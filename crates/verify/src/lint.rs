@@ -38,16 +38,6 @@
 //! escapes>` on or directly above the line (e.g. contents are drained
 //! through a sort before anything observable).
 //!
-//! ## `spawn` — every worker must propagate `dsi_core::hotpath`
-//!
-//! **What it catches:** a `spawn(` call with no `hotpath` mention within
-//! the next eight lines. **Why:** the incremental/from-scratch state-path
-//! toggle is thread-local; a worker spawned without
-//! `dsi_core::hotpath::set_state_path(...)` silently falls back to the
-//! default path and benchmarks/tests measure the wrong code. **How to
-//! silence:** propagate the path inside the closure, or annotate
-//! `// dsi-lint: allow(spawn): <why this worker needs no state path>`.
-//!
 //! ## `sync` — shim-scoped code must not use raw `std` primitives
 //!
 //! **What it catches:** `std::sync::{Mutex, Condvar, RwLock, atomic,
@@ -75,13 +65,21 @@
 //! no scenario drives. **How to silence:** extend the directive, or
 //! `// dsi-lint: allow(lockorder): <why this acquisition cannot nest>`.
 //!
+//! ## `directive` — an allow must name a rule that exists
+//!
+//! **What it catches:** a `dsi-lint: allow(...)` directive naming a rule
+//! other than the ones above. **Why:** an allow for a removed or
+//! misspelled rule silences nothing; it is a dead annotation that reads
+//! as an audit. **How to silence:** fix the rule name or delete the
+//! directive.
+//!
 //! # Scope
 //!
 //! `lint_workspace` walks `crates/*/src`, the umbrella `src/`, **and**
 //! `vendor/*/src` — the vendored crates are first-party code here (the
-//! fleet engine's thread pool lives in `vendor/steal`), so the `spawn`
-//! rule applies to them like everything else. The `rng`/`hash` rules
-//! stay scoped to the library crates: `vendor/rand` constructs RNGs by
+//! fleet engine's thread pool lives in `vendor/steal`), so the `sync`,
+//! `lockorder` and `directive` rules apply to them like everything
+//! else. The `rng`/`hash` rules stay scoped to the library crates: `vendor/rand` constructs RNGs by
 //! definition, and no vendor crate sits on a golden-affecting path.
 //! `target/`, test directories and `#[cfg(test)]` modules are skipped
 //! (tests are free to use RNGs and hash maps) — except by `lockorder`,
@@ -106,8 +104,8 @@ pub struct LintFinding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier: `"rng"`, `"hash"`, `"spawn"`, `"sync"` or
-    /// `"lockorder"`.
+    /// Rule identifier: one of [`RULES`], or `"directive"` for an allow
+    /// naming none of them.
     pub rule: &'static str,
     /// The trimmed source line.
     pub excerpt: String,
@@ -146,9 +144,8 @@ const RNG_TOKENS: &[&str] = &[
     "rand::random",
 ];
 
-/// Lines of context after a `spawn(` within which the `hotpath` token
-/// must appear.
-const SPAWN_WINDOW: usize = 8;
+/// The rules a `dsi-lint: allow(<rule>)` directive may name.
+pub const RULES: &[&str] = &["rng", "hash", "sync", "lockorder"];
 
 /// Files ported to the `interleave` shims: raw `std` synchronization
 /// there escapes the model scheduler (`sync` rule scope). Entries are
@@ -267,7 +264,8 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<LintFinding> {
         };
         let code = stripped[i].as_str();
         let mut flag = |rule: &'static str| {
-            if !allow(rule) {
+            // A dead directive cannot be allowed away by another one.
+            if rule == "directive" || !allow(rule) {
                 findings.push(LintFinding {
                     file: rel.to_string(),
                     line: i + 1,
@@ -282,19 +280,27 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<LintFinding> {
         if in_library && (code.contains("HashMap") || code.contains("HashSet")) {
             flag("hash");
         }
-        if code.contains("spawn(") && !code.contains("fn spawn(") {
-            let window_end = (i + 1 + SPAWN_WINDOW).min(lines.len());
-            let propagated = lines[i..window_end].iter().any(|l| l.contains("hotpath"));
-            if !propagated {
-                flag("spawn");
-            }
-        }
         if sync_scope && uses_raw_sync(code) {
             flag("sync");
+        }
+        if unknown_allow(raw) {
+            flag("directive");
         }
     }
     findings.extend(lint_lock_order(rel, &lines, &stripped));
     findings
+}
+
+/// `true` when `raw` carries a `dsi-lint: allow(<rule>)` directive whose
+/// rule is an identifier not in [`RULES`]. Placeholders such as `<rule>`
+/// in prose are not identifiers and pass.
+fn unknown_allow(raw: &str) -> bool {
+    const MARK: &str = "dsi-lint: allow(";
+    raw.match_indices(MARK).any(|(at, _)| {
+        let rest = &raw[at + MARK.len()..];
+        let rule = first_ident(rest);
+        !rule.is_empty() && rest[rule.len()..].starts_with(')') && !RULES.contains(&rule)
+    })
 }
 
 /// `true` when `code` names a banned `std::sync`/`std::thread` item,
@@ -603,32 +609,29 @@ mod tests {
     }
 
     #[test]
-    fn spawn_without_hotpath_propagation_is_flagged() {
-        let bare = "scope.spawn(|| {\n    work();\n});\n";
-        let f = lint_source("crates/sim/src/runner.rs", bare);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "spawn");
-        let propagated = "scope.spawn(move || {\n\
-                              dsi_core::hotpath::set_state_path(path);\n\
-                              work();\n\
-                          });\n";
-        assert!(lint_source("crates/sim/src/runner.rs", propagated).is_empty());
-    }
-
-    #[test]
-    fn vendor_sources_get_the_spawn_rule_but_not_rng_or_hash() {
-        // The vendored pool crate is first-party: a worker spawned there
-        // without the hotpath hook (or an audited allow) is a finding.
-        let bare = "interleave::thread::Builder::new().spawn(run).unwrap();\n";
-        let f = lint_source("vendor/steal/src/lib.rs", bare);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "spawn");
-        let allowed = "// dsi-lint: allow(spawn): hook installs hotpath\n\
-                       interleave::thread::Builder::new().spawn(run).unwrap();\n";
-        assert!(lint_source("vendor/steal/src/lib.rs", allowed).is_empty());
+    fn vendor_sources_are_out_of_rng_and_hash_scope() {
         // rng/hash stay library-crate scoped: vendor/rand *is* the RNG.
         let rng = "let mut rng = StdRng::seed_from_u64(7);\nuse std::collections::HashMap;\n";
         assert!(lint_source("vendor/rand/src/lib.rs", rng).is_empty());
+    }
+
+    #[test]
+    fn allow_naming_an_unknown_rule_is_flagged() {
+        let dead = "// dsi-lint: allow(bogus): no such rule\nlet x = 1;\n";
+        let f = lint_source("vendor/steal/src/lib.rs", dead);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "directive");
+        assert_eq!(f[0].line, 1);
+        // Every real rule may be named, and prose placeholders pass.
+        for rule in ["rng", "hash", "sync", "lockorder"] {
+            let ok = format!("// dsi-lint: allow({rule}): audited\nlet x = 1;\n");
+            assert!(
+                lint_source("crates/core/src/x.rs", &ok).is_empty(),
+                "{rule}"
+            );
+        }
+        let prose = "//! annotate `// dsi-lint: allow(<rule>): <why>`\n";
+        assert!(lint_source("crates/core/src/x.rs", prose).is_empty());
     }
 
     #[test]
@@ -686,7 +689,7 @@ mod tests {
         // Inline paths too, and std::thread spawns.
         let inline = "let m = std::sync::atomic::AtomicUsize::new(0);\n";
         assert_eq!(lint_source("vendor/steal/src/lib.rs", inline).len(), 1);
-        let thread = "// dsi-lint: allow(spawn): synthetic\nstd::thread::spawn(f);\n";
+        let thread = "std::thread::spawn(f);\n";
         let f = lint_source("vendor/steal/src/lib.rs", thread);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "sync");

@@ -1,7 +1,8 @@
 //! The repository's own sources must pass every `dsi-lint` rule: stray
 //! RNG outside the loss/tuner homes, hash-ordered containers in
-//! golden-affecting library paths, and spawns that drop the hotpath
-//! marker all land here before they land in CI.
+//! golden-affecting library paths, raw `std` sync in shimmed code, lock
+//! order inversions and allows naming no rule all land here before they
+//! land in CI.
 
 use std::path::Path;
 
