@@ -12,11 +12,14 @@
 //! 4. scan the current frame's object headers if its (conservatively
 //!    estimated) span may overlap a remainder, retrieving qualifying
 //!    objects;
-//! 5. navigate: jump to the *safe frame* for the chosen remainder — the
-//!    frame with the largest known bound ≤ the remainder's start, which can
-//!    never overshoot. This is exactly the paper's energy-efficient
-//!    forwarding generalised to interval targets; repeated hops converge
-//!    like a base-`r` search.
+//! 5. navigate: find the nearest frames, in broadcast order, that may
+//!    still hold remainder content and doze to the earliest-arriving one.
+//!    The search follows pointers instead of sweeping frame by frame:
+//!    past a frame whose span misses every remainder it jumps to the
+//!    *safe frame* of the next remainder — the frame with the largest
+//!    known bound ≤ the remainder's start, which can never overshoot.
+//!    This is the paper's energy-efficient forwarding generalised to
+//!    interval targets; repeated hops converge like a base-`r` search.
 //!
 //! The remainder state is **incremental**: every learned bound and every
 //! resolved header applies a localized delta inside [`QueryState`], so the
@@ -38,6 +41,8 @@ use dsi_datagen::Object;
 use dsi_hilbert::HcRange;
 
 use crate::build::{DsiAir, DsiPacket};
+use crate::hotpath;
+use crate::layout::DsiLayout;
 use crate::state::{Knowledge, QueryState, ScanLog};
 use crate::table::IndexTable;
 
@@ -111,7 +116,7 @@ pub(crate) trait QueryMode {
 }
 
 /// What the driver is about to do at its current position.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
     /// Positioned at the frame start of `slot`: read its index table.
     Table(u32),
@@ -149,6 +154,10 @@ struct QueryScratch {
     nav_arrivals: Vec<u64>,
     /// What to do at each navigation candidate (parallel to `nav_flats`).
     nav_plans: Vec<Pending>,
+    /// Slots found by the navigation jump search, in sweep order.
+    nav_slots: Vec<u32>,
+    /// One jump-search cursor per broadcast block.
+    cursors: Vec<BlockCursor>,
 }
 
 /// Runs a query to completion. The tuner carries the metrics.
@@ -289,8 +298,7 @@ fn max_hi_of(rem: &[HcRange]) -> u64 {
 }
 
 /// Whether any remainder intersects the half-open span `[lb, ub)`.
-/// Remainders are sorted and disjoint, so a binary search answers it —
-/// the navigation sweep calls this once per candidate frame.
+/// Remainders are sorted and disjoint, so a binary search answers it.
 fn overlaps_any(rem: &[HcRange], lb: u64, ub: u64) -> bool {
     let i = rem.partition_point(|r| r.hi < lb);
     i < rem.len() && rem[i].lo < ub
@@ -484,11 +492,14 @@ fn approach(
 /// Candidates are (a) the first pending retry header of every affected
 /// slot — read directly off the per-slot sorted retry lists — and (b)
 /// frames that may still hold remainder content. Window queries and
-/// conservative kNN sweep the broadcast order for such frames; aggressive
-/// kNN jumps to the slot its strategy picked (the entry target nearest
-/// the query point). All candidates are then planned in one batch through
-/// the tuner's earliest-arrival API, which accounts for channel placement
-/// and the antennas' monitored set.
+/// conservative kNN search the broadcast order from the current slot for
+/// such frames with [`sweep_jump`], which skips whole runs of frames that
+/// cannot qualify; aggressive kNN jumps to the slot its strategy picked
+/// (the entry target nearest the query point). All candidates are then
+/// planned in one batch through the tuner's earliest-arrival API, which
+/// accounts for channel placement and the antennas' monitored set. In
+/// dsi-core's unit tests every search is audited against the linear
+/// sweep it replaces.
 fn navigate<M: QueryMode>(
     air: &DsiAir,
     tuner: &mut Tuner<'_, DsiPacket>,
@@ -505,6 +516,8 @@ fn navigate<M: QueryMode>(
         nav_flats,
         nav_arrivals,
         nav_plans,
+        nav_slots,
+        cursors,
         ..
     } = scratch;
     nav_flats.clear();
@@ -547,37 +560,37 @@ fn navigate<M: QueryMode>(
                 nav_plans.push(p);
             }
             NavPick::Earliest => {
-                // Sweep the broadcast order from the current position for
-                // frames that may still hold remainder content.
+                // Single channel: arrivals are monotone in sweep order for
+                // the frames strictly ahead; only the current slot can
+                // arrive later than its successors, so the search keeps
+                // it but stops at the first qualifying successor. With
+                // parallel channels broadcast order no longer orders
+                // arrivals — take every candidate frame and let the batch
+                // planner keep the earliest.
                 let cur = l.slot_of_packet(tuner.flat_pos());
-                let nf = l.n_frames();
-                let multi = tuner.program().n_channels() > 1;
-                for d in 0..nf {
-                    let slot = (cur + d) % nf;
-                    let t = l.hc_index_of_slot(slot);
-                    if fully_attempted(log, t, l.objects_in_slot(slot)) {
-                        continue;
-                    }
-                    let (lb, ub) = know.span_est(t);
-                    if !overlaps_any(rem, lb, ub) {
-                        continue;
-                    }
+                let first_only = tuner.program().n_channels() == 1;
+                nav_slots.clear();
+                let examined = sweep_jump(l, know, log, rem, cur, first_only, cursors, nav_slots);
+                hotpath::count_nav_frames(examined);
+                #[cfg(test)]
+                let swept_from = nav_flats.len();
+                for &slot in nav_slots.iter() {
                     let (abs, flat, p) = approach(air, tuner, log, slot, max_hi);
                     nav_flats.push(flat);
                     nav_arrivals.push(abs);
                     nav_plans.push(p);
-                    // Single channel: arrivals are monotone in `d` for
-                    // d ≥ 1 (those frames lie strictly ahead); only the
-                    // current slot (d = 0) can arrive later than its
-                    // successors, so keep sweeping past it but stop at the
-                    // first qualifying successor. With parallel channels
-                    // broadcast order no longer orders arrivals — sweep
-                    // every candidate frame and let the batch planner keep
-                    // the earliest.
-                    if d > 0 && !multi {
-                        break;
-                    }
                 }
+                #[cfg(test)]
+                audit_sweep(
+                    air,
+                    tuner,
+                    state,
+                    cur,
+                    first_only,
+                    examined,
+                    &nav_flats[swept_from..],
+                    &nav_plans[swept_from..],
+                );
             }
         }
     }
@@ -612,6 +625,257 @@ fn navigate<M: QueryMode>(
     Some(nav_plans[pick])
 }
 
+/// Sweep distance marking an exhausted [`BlockCursor`].
+const EXHAUSTED: u32 = u32::MAX;
+
+/// One block's cursor in the navigation jump search.
+///
+/// Within a block of the (reorganized) layout, broadcast slots are
+/// monotone in HC-order frame index: ascending, or descending for the
+/// odd blocks of the folded style. The cursor walks its block in sweep
+/// order by *position* `k`, the frame's rank in slot order within the
+/// block — first `[k0, len)`, from the block's first slot at or after the
+/// sweep start, then the wrapped `[0, k0)` — so both directions move
+/// forward in `k`.
+struct BlockCursor {
+    /// First HC-order frame of the block.
+    start: u32,
+    /// One past the block's last HC-order frame.
+    end: u32,
+    /// Whether slot order runs against HC order in this block.
+    desc: bool,
+    /// Position of the next frame to examine.
+    k: u32,
+    /// First position of the sweep; the wrapped segment ends here.
+    k0: u32,
+    /// Whether the cursor has wrapped into `[0, k0)`.
+    wrapped: bool,
+    /// Sweep distance `(slot − cur) mod nF` of the frame at `k`;
+    /// [`EXHAUSTED`] once the block has nothing left to examine.
+    d: u32,
+}
+
+impl BlockCursor {
+    /// A cursor over block `c`, positioned at its first slot at or after
+    /// `cur` in sweep order.
+    fn new(l: &DsiLayout, c: u32, cur: u32) -> Self {
+        let start = l.block_start_frame(c);
+        let end = if c + 1 < l.n_blocks() {
+            l.block_start_frame(c + 1)
+        } else {
+            l.n_frames()
+        };
+        let desc = end - start > 1 && l.slot_of_hc_index(start) > l.slot_of_hc_index(start + 1);
+        let mut cursor = Self {
+            start,
+            end,
+            desc,
+            k: 0,
+            k0: 0,
+            wrapped: false,
+            d: EXHAUSTED,
+        };
+        // Slots ascend with `k`: binary-search the first at or after `cur`.
+        let (mut lo, mut hi) = (0, end - start);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if l.slot_of_hc_index(cursor.frame(mid)) < cur {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        cursor.k0 = lo;
+        cursor.seek(l, cur, lo);
+        cursor
+    }
+
+    /// HC-order frame index at position `k`.
+    fn frame(&self, k: u32) -> u32 {
+        if self.desc {
+            self.end - 1 - k
+        } else {
+            self.start + k
+        }
+    }
+
+    /// Moves to position `k`, wrapping into `[0, k0)` at the end of the
+    /// first segment and exhausting at the end of the second.
+    fn seek(&mut self, l: &DsiLayout, cur: u32, k: u32) {
+        self.k = k;
+        let lim = if self.wrapped {
+            self.k0
+        } else {
+            self.end - self.start
+        };
+        if k >= lim {
+            if self.wrapped || self.k0 == 0 {
+                self.d = EXHAUSTED;
+                return;
+            }
+            self.wrapped = true;
+            self.k = 0;
+        }
+        let nf = l.n_frames();
+        self.d = (l.slot_of_hc_index(self.frame(self.k)) + nf - cur) % nf;
+    }
+
+    /// The next position worth examining after frame `t` at position `k`,
+    /// whose span `[lb, ·)` overlaps no remainder; `rem[i]` is the first
+    /// remainder ending at or above `lb`. Frames between two known bounds
+    /// share one span, and spans only grow with the frame index, so:
+    ///
+    /// - ascending, every frame before the safe frame of `rem[i].lo` ends
+    ///   at or below it, and every remainder below `rem[i]` lies below
+    ///   `lb`;
+    /// - descending, every frame from the first frame whose bound lies
+    ///   above `rem[i − 1].hi` on starts above it, and every remainder
+    ///   from `rem[i]` on starts at or above the span's end.
+    ///
+    /// Returns the block length when nothing further in this direction can
+    /// qualify, which ends the current segment.
+    fn skip(&self, know: &Knowledge, rem: &[HcRange], i: usize, t: u32) -> u32 {
+        let len = self.end - self.start;
+        if self.desc {
+            match i.checked_sub(1) {
+                Some(j) => (self.end - know.first_frame_above(rem[j].hi).min(t)).min(len),
+                None => len,
+            }
+        } else {
+            match rem.get(i) {
+                Some(r) => (know.safe_frame_for(r.lo).max(t + 1) - self.start).min(len),
+                None => len,
+            }
+        }
+    }
+}
+
+/// The navigation search: slots of frames that may still hold remainder
+/// content — not fully attempted, conservative span overlapping a
+/// remainder — in sweep order from `cur` (ascending slot distance
+/// `(slot − cur) mod nF`), appended to `out`. With `first_only` it stops
+/// at the first such slot after `cur`, keeping `cur` itself ahead of it
+/// when it qualifies.
+///
+/// Exactly the slots a frame-by-frame sweep would find, in the same order,
+/// without visiting every frame: one [`BlockCursor`] per block skips runs
+/// of frames that cannot qualify, and the cursors merge lazily — always
+/// examining the frame nearest in sweep order — so the search never looks
+/// at a frame beyond the last one it returns. Returns how many frames it
+/// examined.
+#[allow(clippy::too_many_arguments)]
+fn sweep_jump(
+    l: &DsiLayout,
+    know: &Knowledge,
+    log: &ScanLog,
+    rem: &[HcRange],
+    cur: u32,
+    first_only: bool,
+    cursors: &mut Vec<BlockCursor>,
+    out: &mut Vec<u32>,
+) -> u64 {
+    let nf = l.n_frames();
+    cursors.clear();
+    cursors.extend((0..l.n_blocks()).map(|c| BlockCursor::new(l, c, cur)));
+    let mut examined = 0;
+    loop {
+        let c = cursors
+            .iter_mut()
+            .min_by_key(|c| c.d)
+            .expect("a layout has at least one block");
+        if c.d == EXHAUSTED {
+            break;
+        }
+        examined += 1;
+        let (d, t) = (c.d, c.frame(c.k));
+        let (lb, ub) = know.span_est(t);
+        let i = rem.partition_point(|r| r.hi < lb);
+        if i == rem.len() || rem[i].lo >= ub {
+            let k = c.skip(know, rem, i, t);
+            c.seek(l, cur, k);
+            continue;
+        }
+        c.seek(l, cur, c.k + 1);
+        let slot = (cur + d) % nf;
+        if fully_attempted(log, t, l.objects_in_slot(slot)) {
+            continue;
+        }
+        out.push(slot);
+        if first_only && d > 0 {
+            break;
+        }
+    }
+    examined
+}
+
+/// The frame-by-frame sweep [`sweep_jump`] replaces, kept as its test
+/// oracle: same contract, examining every frame from `cur` on until it
+/// stops.
+#[cfg(test)]
+fn sweep_linear(
+    l: &DsiLayout,
+    know: &Knowledge,
+    log: &ScanLog,
+    rem: &[HcRange],
+    cur: u32,
+    first_only: bool,
+    out: &mut Vec<u32>,
+) -> u64 {
+    let nf = l.n_frames();
+    let mut examined = 0;
+    for d in 0..nf {
+        examined += 1;
+        let slot = (cur + d) % nf;
+        let t = l.hc_index_of_slot(slot);
+        if fully_attempted(log, t, l.objects_in_slot(slot)) {
+            continue;
+        }
+        let (lb, ub) = know.span_est(t);
+        if !overlaps_any(rem, lb, ub) {
+            continue;
+        }
+        out.push(slot);
+        if first_only && d > 0 {
+            break;
+        }
+    }
+    examined
+}
+
+/// Test-build audit of one navigation search: the candidates the jump
+/// search produced (`flats`, `plans`) must equal the linear sweep's, in
+/// the same order, and it must have examined no more frames.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn audit_sweep(
+    air: &DsiAir,
+    tuner: &Tuner<'_, DsiPacket>,
+    state: &QueryState<'_>,
+    cur: u32,
+    first_only: bool,
+    examined: u64,
+    flats: &[u64],
+    plans: &[Pending],
+) {
+    let (know, log, rem) = (&state.know, &state.log, state.rem());
+    let mut oracle = Vec::new();
+    let oracle_examined = sweep_linear(air.layout(), know, log, rem, cur, first_only, &mut oracle);
+    hotpath::count_oracle_nav_frames(oracle_examined);
+    let (want_flats, want_plans): (Vec<u64>, Vec<Pending>) = oracle
+        .iter()
+        .map(|&slot| {
+            let (_, flat, p) = approach(air, tuner, log, slot, max_hi_of(rem));
+            (flat, p)
+        })
+        .unzip();
+    assert_eq!(flats, want_flats, "jump search diverged from the sweep");
+    assert_eq!(plans, want_plans, "jump search diverged from the sweep");
+    assert!(
+        examined <= oracle_examined,
+        "jump search examined {examined} frames, the sweep {oracle_examined}"
+    );
+}
+
 /// Estimate, in packets, of how long executing plan `p` occupies the
 /// receiver once its first packet (at flat position `flat`) airs, from
 /// schema knowledge plus the client's own scan state. Flat-position
@@ -619,12 +883,7 @@ fn navigate<M: QueryMode>(
 /// interleaved across channels) this can undershoot wall-clock
 /// occupancy — the top-2 conflict costing it feeds is a heuristic, not
 /// a bound.
-fn plan_duration(
-    l: &crate::layout::DsiLayout,
-    state: &QueryState<'_>,
-    p: &Pending,
-    flat: u64,
-) -> u64 {
+fn plan_duration(l: &DsiLayout, state: &QueryState<'_>, p: &Pending, flat: u64) -> u64 {
     let f = l.framing();
     match *p {
         Pending::Table(_) => f.table_packets as u64,
@@ -652,12 +911,200 @@ fn plan_duration(
 
 #[cfg(test)]
 mod tests {
-    use dsi_broadcast::{LossModel, Tuner};
+    use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, Tuner};
     use dsi_datagen::{uniform, SpatialDataset};
     use dsi_geom::{Point, Rect};
+    use dsi_hilbert::HcRange;
     use proptest::prelude::*;
 
-    use crate::{hotpath, DsiAir, DsiConfig, KnnStrategy};
+    use super::{sweep_jump, sweep_linear};
+    use crate::config::FramingPolicy;
+    use crate::layout::DsiLayout;
+    use crate::state::{Knowledge, ScanLog};
+    use crate::{hotpath, DsiAir, DsiConfig, KnnStrategy, ReorgStyle};
+
+    /// A synthetic layout of `nf` two-object frames in `m` blocks; frame
+    /// `t`'s minimum HC is `10 (t + 1)`.
+    fn layout(nf: u32, m: u32, style: ReorgStyle) -> DsiLayout {
+        let cfg = DsiConfig {
+            framing: FramingPolicy::FixedFrameCount(nf),
+            segments: m,
+            reorg_style: style,
+            ..DsiConfig::paper_default()
+        };
+        let mins: Vec<u64> = (1..=nf as u64).map(|t| 10 * t).collect();
+        DsiLayout::new(cfg, 2 * nf, &mins)
+    }
+
+    /// Knowledge of the schema plus the bounds of the `known` frames.
+    fn knowledge(l: &DsiLayout, known: &[u32]) -> Knowledge {
+        let mut k = Knowledge::new(l, 10 * l.n_frames() as u64 + 100);
+        for &t in known {
+            k.learn(t, 10 * (t as u64 + 1));
+        }
+        k
+    }
+
+    /// A scan log in which the `attempted` frames were read to the end.
+    fn attempted_log(l: &DsiLayout, attempted: &[u32]) -> ScanLog {
+        let mut log = ScanLog::new();
+        for &t in attempted {
+            let n = l.objects_in_slot(l.slot_of_hc_index(t));
+            log.entry(t, n).read_upto = n;
+        }
+        log
+    }
+
+    /// Runs both searches from every slot, single- and multi-channel, and
+    /// asserts they return the same slots in the same order, the jump
+    /// search examining no more frames. Returns the frames the two
+    /// examined in total.
+    fn assert_searches_agree(
+        l: &DsiLayout,
+        know: &Knowledge,
+        log: &ScanLog,
+        rem: &[HcRange],
+    ) -> (u64, u64) {
+        let (mut jumped, mut swept) = (0, 0);
+        let mut cursors = Vec::new();
+        for cur in 0..l.n_frames() {
+            for first_only in [true, false] {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let j = sweep_jump(l, know, log, rem, cur, first_only, &mut cursors, &mut got);
+                let o = sweep_linear(l, know, log, rem, cur, first_only, &mut want);
+                assert_eq!(got, want, "cur {cur}, first_only {first_only}, rem {rem:?}");
+                assert!(j <= o, "cur {cur}: jump examined {j} frames, sweep {o}");
+                jumped += j;
+                swept += o;
+            }
+        }
+        (jumped, swept)
+    }
+
+    #[test]
+    fn jump_search_matches_sweep_on_a_single_frame() {
+        let l = layout(1, 1, ReorgStyle::Folded);
+        let know = knowledge(&l, &[]);
+        for rem in [vec![], vec![HcRange::new(0, 5)], vec![HcRange::new(10, 12)]] {
+            assert_searches_agree(&l, &know, &ScanLog::new(), &rem);
+        }
+        assert_searches_agree(&l, &know, &attempted_log(&l, &[0]), &[HcRange::new(10, 12)]);
+    }
+
+    #[test]
+    fn jump_search_matches_sweep_on_uneven_blocks() {
+        // nF = 10 in m = 3 blocks of 4, 4 and 2 frames.
+        for style in [ReorgStyle::Folded, ReorgStyle::RoundRobin] {
+            let l = layout(10, 3, style);
+            assert_eq!(l.n_blocks(), 3);
+            let all: Vec<u32> = (0..10).collect();
+            for known in [&[][..], &[2, 5, 9][..], &all[..]] {
+                let know = knowledge(&l, known);
+                for rem in [
+                    vec![],
+                    vec![HcRange::new(0, 200)],
+                    vec![HcRange::new(35, 35)],
+                    vec![HcRange::new(15, 22), HcRange::new(71, 74)],
+                ] {
+                    for attempted in [&[][..], &[3, 6, 7][..]] {
+                        assert_searches_agree(&l, &know, &attempted_log(&l, attempted), &rem);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn jump_search_skips_frames_the_sweep_visits() {
+        // Every bound known, one remainder inside frame 40 (of 64): each
+        // block's cursor jumps straight to it or past its end.
+        for (m, style) in [
+            (1, ReorgStyle::Folded),
+            (2, ReorgStyle::Folded),
+            (2, ReorgStyle::RoundRobin),
+            (3, ReorgStyle::Folded),
+        ] {
+            let l = layout(64, m, style);
+            let all: Vec<u32> = (0..64).collect();
+            let know = knowledge(&l, &all);
+            let rem = [HcRange::new(412, 415)];
+            let (jumped, swept) = assert_searches_agree(&l, &know, &ScanLog::new(), &rem);
+            assert!(
+                jumped * 4 < swept,
+                "m = {m}: jump search examined {jumped} frames, the sweep {swept}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn jump_search_equals_linear_sweep(
+            nf in 1u32..40,
+            m in 1u32..4,
+            folded in any::<bool>(),
+            known in prop::collection::vec(any::<bool>(), 40..41),
+            attempted in prop::collection::vec(0u8..4, 40..41),
+            rem in prop::collection::vec((0u64..520, 0u64..60), 0..4),
+        ) {
+            let style = if folded { ReorgStyle::Folded } else { ReorgStyle::RoundRobin };
+            let l = layout(nf, m, style);
+            let known: Vec<u32> = (0..nf).filter(|&t| known[t as usize]).collect();
+            let attempted: Vec<u32> = (0..nf).filter(|&t| attempted[t as usize] == 0).collect();
+            let mut rem: Vec<HcRange> =
+                rem.iter().map(|&(lo, len)| HcRange::new(lo, lo + len)).collect();
+            dsi_hilbert::merge_ranges(&mut rem);
+            assert_searches_agree(&l, &knowledge(&l, &known), &attempted_log(&l, &attempted), &rem);
+        }
+    }
+
+    #[test]
+    fn navigation_never_examines_more_frames_than_the_sweep() {
+        // Whole queries over single- and multi-channel layouts: every
+        // navigation is audited against the sweep inside the driver (same
+        // candidates, no more frames examined); the per-thread tallies
+        // compare the totals.
+        let ds = SpatialDataset::build(&uniform(600, 5), 9);
+        let w = Rect::window_in_unit_square(Point::new(0.3, 0.6), 0.3);
+        let q = Point::new(0.7, 0.2);
+        for chan in [
+            ChannelConfig::single(),
+            ChannelConfig::blocked(2, 1),
+            ChannelConfig::striped_frames(4, 1),
+        ] {
+            let air = DsiAir::build_channels(&ds, DsiConfig::paper_reorganized(), chan);
+            for antennas in [1, 2] {
+                hotpath::reset_counters();
+                for start in [0, 977, 4_321] {
+                    let start = start % air.program().len();
+                    let mut tuner = Tuner::tune_in_with(
+                        air.program(),
+                        start,
+                        LossModel::iid(0.1),
+                        start,
+                        AntennaConfig::new(antennas),
+                    );
+                    assert_eq!(air.window_query(&mut tuner, &w), ds.brute_window(&w));
+                    let mut tuner = Tuner::tune_in_with(
+                        air.program(),
+                        start,
+                        LossModel::None,
+                        start,
+                        AntennaConfig::new(antennas),
+                    );
+                    let got = air.knn_query(&mut tuner, q, 10, KnnStrategy::Conservative);
+                    assert_eq!(got, ds.brute_knn(q, 10));
+                }
+                let (jumped, swept) = (hotpath::nav_frames(), hotpath::oracle_nav_frames());
+                assert!(jumped > 0, "navigation never searched");
+                assert!(
+                    jumped <= swept,
+                    "jump search examined {jumped} frames, sweep {swept}"
+                );
+            }
+        }
+    }
 
     // Differential test of the incremental query-state engine. In this
     // test build the driver asserts, after every applied event (learned

@@ -229,12 +229,16 @@ impl Candidates {
     /// Header seen but the object is provably outside the search space:
     /// drop the virtual candidate. Its upper bound necessarily exceeded
     /// the k-th bound (exactness can only lower a bound), so removal never
-    /// loosens the radius.
+    /// moves the radius and the cached one stays valid. Only a bound not
+    /// strictly beyond the cached radius — impossible unless rounding put
+    /// an exact distance above its cell bound — invalidates the cache.
     fn drop_unwanted(&mut self, hc: u64) {
         if let Some(c) = self.by_hc.get(&hc) {
             if !c.retrieved {
+                if self.r2_cache.is_some_and(|r2| c.ub2 <= r2) {
+                    self.r2_cache = None;
+                }
                 self.by_hc.remove(&hc);
-                self.r2_cache = None;
             }
         }
     }
@@ -605,6 +609,18 @@ mod tests {
                 assert_eq!(got, want, "q{qi}={q:?} k={k} {strategy:?} {cfg:?}");
             }
         }
+    }
+
+    #[test]
+    fn dropping_an_unwanted_candidate_keeps_the_radius_cache() {
+        let mut c = Candidates::new(2);
+        c.offer_virtuals(&[(1, 1.0), (2, 2.0), (3, 9.0)]);
+        assert_eq!(c.r2(), 2.0);
+        // Header of HC 3 seen at exact distance 5 > r2: dropped.
+        c.drop_unwanted(3);
+        assert_eq!(c.r2_cache, Some(2.0), "the drop cleared the cache");
+        c.r2_cache = None;
+        assert_eq!(c.r2(), 2.0, "the kept cache was stale");
     }
 
     #[test]

@@ -127,7 +127,6 @@ impl Knowledge {
     /// never overshoot the frame that actually contains `hc`. Returns frame
     /// 0 for targets below the global minimum (which the schema always
     /// knows).
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn safe_frame_for(&self, hc: u64) -> u32 {
         let pos = self.bounds.partition_point(|&(_, h)| h <= hc);
         if pos > 0 {
@@ -135,6 +134,14 @@ impl Knowledge {
         } else {
             0
         }
+    }
+
+    /// The mirror of [`Self::safe_frame_for`]: the first frame whose known
+    /// bound lies above `hc` (`n_frames` if none does). No frame at or
+    /// after it can hold `hc` or anything below it.
+    pub fn first_frame_above(&self, hc: u64) -> u32 {
+        let pos = self.bounds.partition_point(|&(_, h)| h <= hc);
+        self.bounds.get(pos).map_or(self.n_frames, |&(i, _)| i)
     }
 
     /// One past the largest representable HC value.
@@ -772,6 +779,20 @@ mod tests {
         assert_eq!(k.safe_frame_for(59), 2);
         assert_eq!(k.safe_frame_for(60), 5);
         assert_eq!(k.safe_frame_for(999), 5);
+    }
+
+    #[test]
+    fn first_frame_above_mirrors_the_safe_frame() {
+        let l = layout();
+        let mut k = Knowledge::new(&l, 1000);
+        k.learn(2, 30);
+        k.learn(5, 60);
+        assert_eq!(k.first_frame_above(5), 0); // below global min
+        assert_eq!(k.first_frame_above(10), 2);
+        assert_eq!(k.first_frame_above(29), 2);
+        assert_eq!(k.first_frame_above(30), 5);
+        assert_eq!(k.first_frame_above(59), 5);
+        assert_eq!(k.first_frame_above(60), 8, "no bound above: n_frames");
     }
 
     fn scan_frame(log: &mut ScanLog, idx: u32, hcs: &[Option<u64>]) {

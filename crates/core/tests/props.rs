@@ -229,6 +229,12 @@ proptest! {
                     );
                     if wanted_b {
                         resolved.push((hc, next_id));
+                    } else {
+                        // A drop keeps the radius cache: the dropped bound
+                        // lies strictly beyond the k-th bound, so the
+                        // cached radius must equal a fresh selection.
+                        batched.assert_cache_coherent();
+                        oracle.assert_cache_coherent();
                     }
                 }
                 CandOp::Retrieve(sel) => {

@@ -13,10 +13,7 @@ use dsi::datagen::{knn_points, uniform, SpatialDataset};
 use dsi::sim::{run_knn_batch, BatchOptions, Engine, Scheme};
 
 fn main() {
-    let n = std::env::var("DSI_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
+    let n = dsi_bench::env_or("DSI_N", 10_000);
     let dataset = SpatialDataset::build(&uniform(n, 42), 12);
     let queries = knn_points(80, 13);
 
