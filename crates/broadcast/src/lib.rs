@@ -35,9 +35,9 @@
 //!   algorithms through one trait, and one driver owns the
 //!   tune-in/loss/stats loop for all of them.
 //! * [`optimize`] — the workload-aware server-side placement optimizer:
-//!   measure an access-probability profile over the flat schema
-//!   ([`drive_profiled`]), price candidate unit→channel assignments with
-//!   a closed-form air-cost model, and hill-climb to a
+//!   fold training queries' read journals ([`drive_traced`]) into an
+//!   access profile over the flat schema, then move contiguous-arc cut
+//!   points against the sampled per-query cost to a
 //!   [`Placement::Explicit`] layout that fits the workload.
 //!
 //! The simulator is deterministic under a fixed seed: every stochastic
@@ -59,8 +59,6 @@ pub use loss::{
     FaultTrace, GilbertElliott, LossModel, LossScope, OutageSchedule, OutageWindow, TraceEntry,
 };
 pub use program::{PacketClass, Payload, Program};
-pub use scheme::{
-    drive, drive_antennas, drive_profiled, drive_traced, AirScheme, DynScheme, Query, QueryOutcome,
-};
+pub use scheme::{drive, drive_antennas, drive_traced, AirScheme, DynScheme, Query, QueryOutcome};
 pub use stats::{DistSummary, Distribution, MeanStats, QueryStats};
 pub use tuner::{PacketLost, Tuner};

@@ -8,6 +8,9 @@
 //! tune-in, loss, and stats collection, so schemes never reimplement the
 //! Tuner/loss/stats plumbing and new scenarios (channel configurations,
 //! loss models, workloads) are wired once instead of per index.
+//! [`drive_traced`] is the same loop with a per-read journal: fault
+//! replay and the placement optimizer's access profiles are both built
+//! from it.
 //!
 //! [`DynScheme`] erases the scheme's packet type so heterogeneous schemes
 //! can sit in one collection (`Box<dyn DynScheme>`): the experiment matrix
@@ -128,47 +131,15 @@ pub fn drive_antennas<S: AirScheme + ?Sized>(
     }
 }
 
-/// [`drive_antennas`] with per-position access profiling: every read is
-/// additionally counted against its flat schema position in `counts`
-/// (length must equal the program's cycle length). Training a workload
-/// through this and feeding the counts to [`crate::optimize`] is how the
-/// server learns which parts of the schema a workload actually touches.
-pub fn drive_profiled<S: AirScheme + ?Sized>(
-    scheme: &S,
-    start: u64,
-    loss: LossModel,
-    seed: u64,
-    antennas: AntennaConfig,
-    query: &Query,
-    counts: &mut [u64],
-) -> QueryOutcome {
-    assert_eq!(
-        counts.len() as u64,
-        scheme.program().len(),
-        "one counter per flat cycle position"
-    );
-    let mut tuner = Tuner::tune_in_with(scheme.program(), start, loss, seed, antennas);
-    tuner.enable_profiling();
-    let ids = match query {
-        Query::Window(w) => scheme.window(&mut tuner, w),
-        Query::Knn(q, k) => scheme.knn(&mut tuner, *q, *k),
-    };
-    for (c, n) in counts.iter_mut().zip(tuner.access_counts()) {
-        *c += n;
-    }
-    QueryOutcome {
-        ids,
-        stats: tuner.stats(),
-        channels: tuner.channel_stats(),
-    }
-}
-
-/// [`drive_antennas`] with fault journaling: every read's loss outcome is
-/// recorded and returned as a [`FaultTrace`] alongside the outcome.
-/// Replaying the trace via [`LossModel::Trace`] (same scheme, same start,
-/// same antennas) reproduces the run's loss sequence exactly, with no RNG
-/// involved — the deterministic-reproduction entry point of the fault
-/// harness.
+/// [`drive_antennas`] with a read journal: every read's channel, instant
+/// and loss outcome is recorded and returned as a [`FaultTrace`]
+/// alongside the outcome. Replaying the trace via [`LossModel::Trace`]
+/// (same scheme, same start, same antennas) reproduces the run's loss
+/// sequence exactly, with no RNG involved — the deterministic-reproduction
+/// entry point of the fault harness. Folding the journal through
+/// [`Program::flat_at`] yields the query's reads per flat schema position
+/// ([`crate::optimize::count_reads`]) — how the server learns which parts
+/// of the schema a training workload touches.
 pub fn drive_traced<S: AirScheme + ?Sized>(
     scheme: &S,
     start: u64,
@@ -183,7 +154,7 @@ pub fn drive_traced<S: AirScheme + ?Sized>(
         Query::Window(w) => scheme.window(&mut tuner, w),
         Query::Knn(q, k) => scheme.knn(&mut tuner, *q, *k),
     };
-    let trace = tuner.fault_trace();
+    let trace = tuner.take_fault_trace();
     (
         QueryOutcome {
             ids,
@@ -211,18 +182,6 @@ pub trait DynScheme: Send + Sync {
         query: &Query,
     ) -> QueryOutcome;
 
-    /// Runs one query through [`drive_profiled`], accumulating reads per
-    /// flat schema position into `counts`.
-    fn drive_profiled(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-        counts: &mut [u64],
-    ) -> QueryOutcome;
-
     /// Runs one query through [`drive_traced`], returning the recorded
     /// fault journal alongside the outcome.
     fn drive_traced(
@@ -247,6 +206,11 @@ pub trait DynScheme: Send + Sync {
     /// Number of parallel channels the program is scheduled over.
     fn n_channels(&self) -> u32;
 
+    /// Flat schema position of the packet airing at absolute instant
+    /// `abs` on `channel` (see [`Program::flat_at`]) — maps a
+    /// [`drive_traced`] journal entry back onto the schema.
+    fn flat_at(&self, channel: u32, abs: u64) -> u64;
+
     /// Which flat positions begin an indivisible unit (the structure the
     /// placement optimizer assigns to channels).
     fn unit_starts(&self) -> Vec<bool>;
@@ -266,18 +230,6 @@ impl<S: AirScheme + Send + Sync> DynScheme for S {
         query: &Query,
     ) -> QueryOutcome {
         drive_antennas(self, start, loss, seed, antennas, query)
-    }
-
-    fn drive_profiled(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-        counts: &mut [u64],
-    ) -> QueryOutcome {
-        drive_profiled(self, start, loss, seed, antennas, query, counts)
     }
 
     fn drive_traced(
@@ -305,6 +257,10 @@ impl<S: AirScheme + Send + Sync> DynScheme for S {
 
     fn n_channels(&self) -> u32 {
         self.program().n_channels()
+    }
+
+    fn flat_at(&self, channel: u32, abs: u64) -> u64 {
+        self.program().flat_at(channel, abs)
     }
 
     fn unit_starts(&self) -> Vec<bool> {

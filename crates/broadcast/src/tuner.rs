@@ -59,11 +59,6 @@ pub struct Tuner<'a, P> {
     /// single-channel tuner stays allocation-free and pays nothing per
     /// read.
     tuning_by_channel: Vec<u64>,
-    /// Per-flat-position read counters, empty unless
-    /// [`Tuner::enable_profiling`] was called. Feeds the workload-aware
-    /// placement optimizer ([`crate::optimize`]): the counts over a
-    /// training workload are its access-probability profile.
-    access_counts: Vec<u64>,
     /// Per-model fault state (the [`LossModel::None`]/[`LossModel::Iid`]
     /// arm is the frozen historical draw path; see the loss module docs).
     fault: FaultDriver,
@@ -205,7 +200,6 @@ impl<'a, P: Payload> Tuner<'a, P> {
             } else {
                 Vec::new()
             },
-            access_counts: Vec::new(),
             fault,
             resilience: antennas.resilience,
             lost_reads: 0,
@@ -218,28 +212,16 @@ impl<'a, P: Payload> Tuner<'a, P> {
     }
 
     /// Starts journaling every read's loss outcome; retrieve the script
-    /// with [`Tuner::fault_trace`] and replay it via [`LossModel::Trace`].
+    /// with [`Tuner::take_fault_trace`] and replay it via [`LossModel::Trace`].
     pub fn enable_fault_recording(&mut self) {
         self.record = Some(Vec::new());
     }
 
-    /// The fault journal recorded since [`Tuner::enable_fault_recording`]
-    /// (empty if recording was never enabled).
-    pub fn fault_trace(&self) -> FaultTrace {
-        FaultTrace::new(self.record.clone().unwrap_or_default())
-    }
-
-    /// Starts counting reads per flat schema position (one counter per
-    /// packet of the cycle, retrievable via [`Tuner::access_counts`]).
-    /// Off by default so the hot read path pays nothing for it.
-    pub fn enable_profiling(&mut self) {
-        self.access_counts = vec![0; self.program.len() as usize];
-    }
-
-    /// Reads per flat schema position since [`Tuner::enable_profiling`];
-    /// empty if profiling was never enabled.
-    pub fn access_counts(&self) -> &[u64] {
-        &self.access_counts
+    /// Moves out the fault journal recorded since
+    /// [`Tuner::enable_fault_recording`] (empty if recording was never
+    /// enabled) and stops recording.
+    pub fn take_fault_trace(&mut self) -> FaultTrace {
+        FaultTrace::new(self.record.take().unwrap_or_default())
     }
 
     /// The broadcast program being listened to.
@@ -536,10 +518,6 @@ impl<'a, P: Payload> Tuner<'a, P> {
     #[inline]
     pub fn read(&mut self) -> Result<&'a P, PacketLost> {
         let packet = self.program.packet_at(self.channel, self.pos);
-        if !self.access_counts.is_empty() {
-            let flat = self.program.flat_at(self.channel, self.pos) as usize;
-            self.access_counts[flat] += 1;
-        }
         let instant = self.pos;
         self.pos += 1;
         self.tuning += 1;
@@ -810,13 +788,19 @@ mod tests {
     fn profiling_counts_reads_per_flat_position() {
         let prog = program();
         let mut t = Tuner::tune_in(&prog, 2, LossModel::None, 1);
-        assert!(t.access_counts().is_empty(), "off by default");
-        t.enable_profiling();
+        assert!(t.take_fault_trace().entries().is_empty(), "off by default");
+        t.enable_fault_recording();
         let _ = t.read(); // flat 2
         let _ = t.read(); // flat 3
         t.goto(2);
         let _ = t.read(); // flat 2 again
-        assert_eq!(t.access_counts(), &[0, 0, 2, 1, 0, 0, 0, 0]);
+        let mut counts = vec![0u64; prog.len() as usize];
+        crate::optimize::count_reads(
+            &t.take_fault_trace(),
+            |c, i| prog.flat_at(c, i),
+            &mut counts,
+        );
+        assert_eq!(counts, [0, 0, 2, 1, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -915,7 +899,7 @@ mod tests {
         let mut live = Tuner::tune_in(&prog, 1, LossModel::Gilbert(ge), 21);
         live.enable_fault_recording();
         let lived: Vec<bool> = (0..48).map(|_| live.read().is_ok()).collect();
-        let trace = live.fault_trace();
+        let trace = live.take_fault_trace();
         assert!(lived.iter().any(|ok| !ok), "the run saw losses");
         // Round-trip the trace through its text format, then replay it.
         let replayed = FaultTrace::from_text(&trace.to_text()).expect("text round-trip");

@@ -155,27 +155,12 @@ impl Engine {
             .drive_antennas(start, loss, seed, antennas, query)
     }
 
-    /// Runs one query while accumulating reads per flat schema position
-    /// into `counts` (length = [`Engine::cycle_packets`]). Training a
-    /// workload through this yields the access-probability profile the
-    /// placement optimizer ([`dsi_broadcast::optimize`]) consumes.
-    pub fn drive_profiled(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-        counts: &mut [u64],
-    ) -> QueryOutcome {
-        self.scheme
-            .drive_profiled(start, loss, seed, antennas, query, counts)
-    }
-
-    /// Runs one query while journaling every read's loss outcome,
-    /// returning the recorded [`FaultTrace`] alongside the outcome. The
-    /// trace replays the run exactly via [`LossModel::Trace`], on any
-    /// seed.
+    /// Runs one query while journaling every read's channel, instant and
+    /// loss outcome, returning the recorded [`FaultTrace`] alongside the
+    /// outcome. The trace replays the run exactly via [`LossModel::Trace`],
+    /// on any seed; folded through [`Engine::flat_at`]
+    /// ([`dsi_broadcast::optimize::count_reads`]) it yields the
+    /// access-probability profile the placement optimizer consumes.
     pub fn drive_traced(
         &self,
         start: u64,
@@ -215,6 +200,13 @@ impl Engine {
     /// Number of parallel channels.
     pub fn n_channels(&self) -> u32 {
         self.scheme.n_channels()
+    }
+
+    /// Flat schema position of the packet airing at absolute instant
+    /// `abs` on `channel` — maps a [`Engine::drive_traced`] journal entry
+    /// back onto the schema.
+    pub fn flat_at(&self, channel: u32, abs: u64) -> u64 {
+        self.scheme.flat_at(channel, abs)
     }
 
     /// Runs one window query from tune-in packet `start`.

@@ -66,11 +66,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::Engine;
-
-/// Multiplier of the per-query seed derivation, shared with
-/// [`crate::run_query_batch`] so fleet populations and classic batches
-/// agree on what "client `i` of master seed `s`" means.
-const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+use crate::runner::{brute, SEED_MIX};
 
 /// One fleet scenario: a client population over a query pool.
 #[derive(Debug, Clone)]
@@ -281,14 +277,6 @@ pub struct FleetStats {
     pub window_cache_hits: u64,
     /// Window decompositions computed (then published).
     pub window_cache_misses: u64,
-}
-
-/// Ground truth for one query.
-fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
-    match q {
-        Query::Window(w) => dataset.brute_window(w),
-        Query::Knn(p, k) => dataset.brute_knn(*p, *k),
-    }
 }
 
 /// Inputs shared by every granule task.

@@ -9,8 +9,8 @@
 //! scenario is a spec entry, not a new drive loop.
 
 use dsi_broadcast::optimize::{
-    arc_assignment, optimize_placement, predict_latency_packets, read_runs, AccessProfile,
-    OptimizeOptions, UnitSchema,
+    arc_assignment, count_reads, optimize_placement, predict_latency_packets, read_runs,
+    AccessProfile, UnitSchema,
 };
 use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, Placement, Query};
 use dsi_datagen::{
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{Engine, Scheme};
-use crate::runner::{run_query_batch, BatchOptions, BatchResult};
+use crate::runner::{run_query_batch, BatchOptions, BatchResult, SEED_MIX};
 use crate::table::{fmt_bytes, Table};
 
 /// A workload family, materialized into concrete queries per cell.
@@ -187,7 +187,10 @@ type WorkloadTrace = (Vec<u64>, Vec<Vec<(u32, u32)>>);
 /// Resolves a [`ChannelSpec::Optimized`] entry for one scheme: profiles
 /// the spec's workloads on the single-channel build, optimizes the
 /// unit→channel assignment, and returns the rebuilt engine plus the
-/// model's per-workload predicted mean latency (bytes).
+/// model's per-workload predicted mean latency (bytes). An entry that
+/// cannot be built — no workloads or no training queries to profile,
+/// zero channels, fewer units than channels, a `Blocked` baseline the
+/// cycle cannot be scheduled over — comes back as its diagnostic.
 fn build_optimized(
     scheme: Scheme,
     dataset: &SpatialDataset,
@@ -196,11 +199,22 @@ fn build_optimized(
     switch_cost: u32,
     model_antennas: AntennaConfig,
     train_queries: usize,
-) -> (Engine, Vec<f64>) {
-    assert!(train_queries > 0, "optimizer needs a training workload");
-    let single = Engine::build(scheme, dataset, spec.capacity);
+) -> Result<(Engine, Vec<f64>), String> {
+    if spec.workloads.is_empty() || train_queries == 0 {
+        return Err("the optimizer needs workloads and training queries to profile".into());
+    }
+    let build = |cfg: ChannelConfig| {
+        Engine::try_build_channels(scheme, dataset, spec.capacity, cfg).map_err(|e| e.to_string())
+    };
+    let single = build(ChannelConfig::single())?;
     let cycle = single.cycle_packets();
     let schema = UnitSchema::from_unit_starts(&single.unit_starts());
+    if channels == 0 || schema.n_units() < channels as usize {
+        return Err(format!(
+            "cannot spread {} units over {channels} channels",
+            schema.n_units()
+        ));
+    }
     let mut combined = vec![0u64; cycle as usize];
     let mut per_workload: Vec<WorkloadTrace> = Vec::new();
     let mut per_query = vec![0u64; cycle as usize];
@@ -216,14 +230,14 @@ fn build_optimized(
             let start = rng.gen_range(0..cycle);
             starts.push(start);
             per_query.fill(0);
-            let _ = single.drive_profiled(
+            let (_, trace) = single.drive_traced(
                 start,
                 LossModel::None,
-                spec.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                spec.seed ^ (qi as u64).wrapping_mul(SEED_MIX),
                 AntennaConfig::single(),
                 q,
-                &mut per_query,
             );
+            count_reads(&trace, |c, t| single.flat_at(c, t), &mut per_query);
             wsamples.push(read_runs(&per_query));
             for (a, b) in counts.iter_mut().zip(&per_query) {
                 *a += b;
@@ -236,25 +250,15 @@ fn build_optimized(
         train_sets.push(train);
         train_starts.push(starts);
     }
-    let profile = if per_workload.is_empty() {
-        AccessProfile::uniform(cycle as usize)
-    } else {
+    let profile =
         AccessProfile::from_counts(&combined, (train_queries * per_workload.len()) as u64)
             .with_samples(
                 per_workload
                     .iter()
                     .flat_map(|(_, s)| s.iter().cloned())
                     .collect(),
-            )
-    };
-    let opt = optimize_placement(
-        &schema,
-        &profile,
-        channels,
-        switch_cost,
-        model_antennas,
-        &OptimizeOptions::default(),
-    );
+            );
+    let opt = optimize_placement(&schema, &profile, channels, switch_cost, model_antennas);
 
     // Measured simulate-and-select: the cost model ranks candidates
     // within its sweep assumptions, but the server can do better —
@@ -338,6 +342,11 @@ fn build_optimized(
             })
             .collect()
     };
+    let blocked = build(ChannelConfig {
+        channels,
+        placement: Placement::Blocked,
+        switch_cost,
+    })?;
     if total_index > 0 && total_index < channels as usize {
         // Fewer index units than channels: every explicit map strands a
         // channel, so the optimizer's candidate family is empty. Fall
@@ -347,20 +356,11 @@ fn build_optimized(
             .map(|g| g * nu / channels as usize)
             .collect();
         let predictions = predict_all(&arc_assignment(&schema, &profile, &equal));
-        let cfg = ChannelConfig {
-            channels,
-            placement: Placement::Blocked,
-            switch_cost,
-        };
-        return (
-            Engine::build_channels(scheme, dataset, spec.capacity, cfg),
-            predictions,
-        );
+        return Ok((blocked, predictions));
     }
     let is_window = |queries: &[Query]| matches!(queries.first(), Some(Query::Window(_)));
     let any_window = train_sets.iter().any(|t| is_window(t));
-    let measure = |cfg: ChannelConfig| -> (f64, f64) {
-        let engine = Engine::build_channels(scheme, dataset, spec.capacity, cfg);
+    let measure = |engine: &Engine| -> (f64, f64) {
         let mut mean = [0.0f64; 2];
         let mut count = 0u64;
         for (wi, train) in train_sets.iter().enumerate() {
@@ -372,7 +372,7 @@ fn build_optimized(
                     let out = engine.drive_antennas(
                         train_starts[wi][qi] % engine.cycle_packets(),
                         LossModel::None,
-                        spec.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        spec.seed ^ (qi as u64).wrapping_mul(SEED_MIX),
                         AntennaConfig::new(ant),
                         q,
                     );
@@ -384,16 +384,16 @@ fn build_optimized(
         let n = (count / 2).max(1) as f64;
         (mean[0] / n, mean[1] / n)
     };
-    let explicit = |assignment: &[u32]| ChannelConfig {
-        channels,
-        placement: Placement::Explicit(assignment.to_vec()),
-        switch_cost,
+    // Every candidate is a `cover`ed arc map, which always schedules.
+    let explicit = |assignment: &[u32]| {
+        let cfg = ChannelConfig {
+            channels,
+            placement: Placement::Explicit(assignment.to_vec()),
+            switch_cost,
+        };
+        Engine::build_channels(scheme, dataset, spec.capacity, cfg)
     };
-    let (base_k1, base_k2) = measure(ChannelConfig {
-        channels,
-        placement: Placement::Blocked,
-        switch_cost,
-    });
+    let (base_k1, base_k2) = measure(&blocked);
     let score = |(k1, k2): (f64, f64)| -> (f64, f64) {
         let r1 = k1 / base_k1.max(1.0);
         let r2 = k2 / base_k2.max(1.0);
@@ -431,21 +431,21 @@ fn build_optimized(
         }
     }
     let valid = |cuts: &[usize]| cuts.windows(2).all(|w| w[0] < w[1]) && cuts[0] < n_units;
-    if let Some(cuts) = opt.arc_cuts.clone().filter(|c| valid(c)) {
-        candidates.insert(0, cuts);
+    if valid(&opt.arc_cuts) {
+        candidates.insert(0, opt.arc_cuts);
     }
     // Always-valid fallback: equal unit-count cuts.
     let mut best_cuts: Vec<usize> = (0..channels as usize)
         .map(|g| g * n_units / channels as usize)
         .collect();
     let mut best_assignment = cover(arc_assignment(&schema, &profile, &best_cuts));
-    let mut best_score = score(measure(explicit(&best_assignment)));
+    let mut best_score = score(measure(&explicit(&best_assignment)));
     for cuts in candidates {
         if !valid(&cuts) || cuts == best_cuts {
             continue;
         }
         let a = cover(arc_assignment(&schema, &profile, &cuts));
-        let s = score(measure(explicit(&a)));
+        let s = score(measure(&explicit(&a)));
         if better(s, best_score) {
             best_score = s;
             best_cuts = cuts;
@@ -482,7 +482,7 @@ fn build_optimized(
                     continue;
                 }
                 let a = cover(arc_assignment(&schema, &profile, &cuts));
-                let s = score(measure(explicit(&a)));
+                let s = score(measure(&explicit(&a)));
                 if better(s, best_score) {
                     best_score = s;
                     best_cuts = cuts;
@@ -499,7 +499,7 @@ fn build_optimized(
     let base_labels = best_assignment.clone();
     for r in 1..channels {
         let rotated: Vec<u32> = base_labels.iter().map(|&ch| (ch + r) % channels).collect();
-        let s = score(measure(explicit(&rotated)));
+        let s = score(measure(&explicit(&rotated)));
         if better(s, best_score) {
             best_score = s;
             best_assignment = rotated;
@@ -526,23 +526,16 @@ fn build_optimized(
     }
 
     let predictions = predict_all(&best_assignment);
-    let cfg = ChannelConfig {
-        channels,
-        placement: Placement::Explicit(best_assignment),
-        switch_cost,
-    };
-    (
-        Engine::build_channels(scheme, dataset, spec.capacity, cfg),
-        predictions,
-    )
+    Ok((explicit(&best_assignment), predictions))
 }
 
 /// Runs every cell of the matrix. Engines are built once per
 /// (scheme, channel) pair; workloads are materialized once per workload.
 /// A fixed channel configuration the scheme's cycle cannot be scheduled
-/// over ([`dsi_broadcast::LayoutError`]) rejects that (scheme, channel)
-/// pair with a diagnostic on stderr instead of panicking; the remaining
-/// cells still run.
+/// over ([`dsi_broadcast::LayoutError`]), or an optimized entry that
+/// cannot be built (nothing to train on, zero channels, fewer units than
+/// channels), rejects that (scheme, channel) pair with a diagnostic on
+/// stderr instead of panicking; the remaining cells still run.
 pub fn run_matrix(dataset: &SpatialDataset, spec: &MatrixSpec) -> Vec<MatrixCell> {
     let workloads: Vec<(&String, Vec<Query>)> = spec
         .workloads
@@ -578,18 +571,21 @@ pub fn run_matrix(dataset: &SpatialDataset, spec: &MatrixSpec) -> Vec<MatrixCell
                     switch_cost,
                     antennas,
                     train_queries,
-                } => {
-                    let (engine, preds) = build_optimized(
-                        *scheme,
-                        dataset,
-                        spec,
-                        *channels,
-                        *switch_cost,
-                        *antennas,
-                        *train_queries,
-                    );
-                    (engine, Some(preds))
-                }
+                } => match build_optimized(
+                    *scheme,
+                    dataset,
+                    spec,
+                    *channels,
+                    *switch_cost,
+                    *antennas,
+                    *train_queries,
+                ) {
+                    Ok((engine, preds)) => (engine, Some(preds)),
+                    Err(e) => {
+                        eprintln!("matrix: rejecting cell {scheme_name} x {chan_name}: {e}");
+                        continue;
+                    }
+                },
             };
             for (ant_name, ant) in antennas {
                 for (loss_name, loss) in &spec.losses {
@@ -782,6 +778,44 @@ mod tests {
         let cells = run_matrix(&ds, &spec);
         assert_eq!(cells.len(), 1, "only the valid channel produces cells");
         assert_eq!(cells[0].channel, "C1");
+    }
+
+    #[test]
+    fn unbuildable_optimized_cells_are_rejected_not_fatal() {
+        let ds = uniform_dataset_n(120);
+        let optimized = |channels: u32, train_queries: usize| ChannelSpec::Optimized {
+            channels,
+            switch_cost: 1,
+            antennas: AntennaConfig::single(),
+            train_queries,
+        };
+        let mut spec = MatrixSpec {
+            schemes: vec![
+                ("DSI".into(), Scheme::dsi_reorganized(64)),
+                ("HCI".into(), Scheme::Hci),
+            ],
+            capacity: 64,
+            channels: vec![
+                ("C1".into(), ChannelConfig::single().into()),
+                ("no-training".into(), optimized(2, 0)),
+                ("no-channels".into(), optimized(0, 4)),
+                ("more-channels-than-units".into(), optimized(100_000, 4)),
+            ],
+            antennas: Vec::new(),
+            losses: vec![("lossless".into(), LossModel::None)],
+            workloads: vec![("3NN".into(), WorkloadSpec::Knn { k: 3 }, 9)],
+            n_queries: 2,
+            seed: 5,
+            validate: true,
+        };
+        let cells = run_matrix(&ds, &spec);
+        assert_eq!(cells.len(), 2, "only the valid channel produces cells");
+        assert!(cells.iter().all(|c| c.channel == "C1"));
+        // With no workloads there is nothing to train on: the optimized
+        // entry is rejected too, and no cell runs.
+        spec.channels = vec![("C2-optimized".into(), optimized(2, 4))];
+        spec.workloads.clear();
+        assert!(run_matrix(&ds, &spec).is_empty());
     }
 
     #[test]

@@ -91,8 +91,14 @@ fn aggregate(outcomes: Vec<QueryOutcome>) -> BatchResult {
     }
 }
 
+/// Multiplier of the per-query seed derivation (`seed ^ i * SEED_MIX`),
+/// shared by [`run_query_batch`], the fleet population and the matrix
+/// optimizer's training drives so they agree on what "client `i` of
+/// master seed `s`" means.
+pub(crate) const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Ground truth for one query.
-fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
+pub(crate) fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
     match q {
         Query::Window(w) => dataset.brute_window(w),
         Query::Knn(p, k) => dataset.brute_knn(*p, *k),
@@ -135,7 +141,7 @@ pub fn run_query_batch(
                     let o = engine.drive_antennas(
                         starts[qi],
                         opts.loss.clone(),
-                        opts.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        opts.seed ^ (qi as u64).wrapping_mul(SEED_MIX),
                         opts.antennas,
                         q,
                     );

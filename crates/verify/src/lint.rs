@@ -24,7 +24,9 @@
 //! construction or navigation run-dependent, which silently invalidates
 //! every golden. **How to silence:** append `// dsi-lint: allow(rng):
 //! <why this site is deterministic>` on or directly above the line —
-//! e.g. the placement optimizer's fixed-seed candidate search.
+//! e.g. a search whose seed is fixed by its caller. No library site
+//! needs one today: even the placement optimizer is a deterministic
+//! descent that draws nothing.
 //!
 //! ## `hash` — no `HashMap`/`HashSet` in golden-affecting paths
 //!

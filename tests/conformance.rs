@@ -20,7 +20,7 @@
 
 use dsi::bptree::{BpAir, BpAirConfig};
 use dsi::broadcast::optimize::{
-    optimize_placement, read_runs, AccessProfile, OptimizeOptions, UnitSchema,
+    count_reads, optimize_placement, read_runs, AccessProfile, UnitSchema,
 };
 use dsi::broadcast::{
     AntennaConfig, ChannelConfig, DynScheme, GilbertElliott, LossModel, OutageSchedule,
@@ -1553,8 +1553,9 @@ fn single_antenna_reproduces_pre_refactor_channel_stats() {
 }
 
 /// Fits a workload-optimized explicit placement for one scheme: profiles
-/// a training workload on the scheme's single-channel build and searches
-/// the air-cost model (see `dsi::broadcast::optimize`).
+/// a training workload on the scheme's single-channel build (folding each
+/// query's read journal into per-position counts) and searches the
+/// sampled air-cost estimate (see `dsi::broadcast::optimize`).
 fn optimized_chan(
     single: &dyn DynScheme,
     channels: u32,
@@ -1572,14 +1573,14 @@ fn optimized_chan(
         .collect();
     for (qi, q) in queries.iter().enumerate() {
         per_query.fill(0);
-        let _ = single.drive_profiled(
+        let (_, trace) = single.drive_traced(
             (qi as u64 * 101) % flat,
             LossModel::None,
             qi as u64,
             AntennaConfig::single(),
             q,
-            &mut per_query,
         );
+        count_reads(&trace, |c, t| single.flat_at(c, t), &mut per_query);
         samples.push(read_runs(&per_query));
         for (a, b) in counts.iter_mut().zip(&per_query) {
             *a += b;
@@ -1593,7 +1594,6 @@ fn optimized_chan(
         channels,
         SWITCH_COST,
         AntennaConfig::single(),
-        &OptimizeOptions::default(),
     );
     opt.config(channels, SWITCH_COST)
 }
