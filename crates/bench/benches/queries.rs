@@ -2,7 +2,7 @@
 //! query and one 10NN query per scheme on a 2,000-object broadcast.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dsi_broadcast::LossModel;
+use dsi_broadcast::{AntennaConfig, LossModel, Query};
 use dsi_datagen::{uniform, SpatialDataset};
 use dsi_geom::{Point, Rect};
 use dsi_sim::{Engine, Scheme};
@@ -17,18 +17,21 @@ fn bench_queries(c: &mut Criterion) {
         ("hci", Scheme::Hci),
     ] {
         let e = Engine::build(scheme, &ds, 64);
+        let k1 = AntennaConfig::single();
         c.bench_function(&format!("query/window_{name}_64B"), |b| {
             let mut start = 0u64;
             b.iter(|| {
                 start = (start + 7919) % e.cycle_packets();
-                black_box(e.window(start, LossModel::None, start, black_box(&w)))
+                let query = Query::Window(black_box(w));
+                black_box(e.drive(start, LossModel::None, start, k1, &query))
             })
         });
         c.bench_function(&format!("query/knn10_{name}_64B"), |b| {
             let mut start = 0u64;
             b.iter(|| {
                 start = (start + 7919) % e.cycle_packets();
-                black_box(e.knn(start, LossModel::None, start, black_box(q), 10))
+                let query = Query::Knn(black_box(q), 10);
+                black_box(e.drive(start, LossModel::None, start, k1, &query))
             })
         });
     }

@@ -68,7 +68,7 @@ fn replay_trace(path: &str) {
     let (e, ds, q) = traced_setup();
     // Replay is seed-independent: the scripted trace *is* the fault
     // model, so a different seed must reproduce the recorded run.
-    let out = e.drive_antennas(
+    let out = e.drive(
         5,
         LossModel::Trace(trace.clone()),
         777,

@@ -21,7 +21,7 @@ use dsi_bench::{env_or, exp_options_from_env};
 use dsi_broadcast::{LossModel, Query};
 use dsi_datagen::{knn_points, window_queries};
 use dsi_sim::experiments::fleet_summary_on;
-use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec};
+use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec, Population};
 use dsi_sim::{Engine, Scheme};
 
 fn main() {
@@ -49,7 +49,8 @@ fn main() {
             loss: loss.clone(),
             ..FleetSpec::new(gate_clients, pool.clone())
         };
-        let oracle = run_fleet_oracle(&engine, Some(&ds), &spec);
+        let pop = Population::derive(&spec, engine.cycle_packets());
+        let oracle = run_fleet_oracle(&engine, Some(&ds), &spec, &pop);
         for workers in [1usize, 2, 0] {
             spec.workers = workers;
             let (_, outcomes) = run_fleet(&engine, Some(&ds), &spec);

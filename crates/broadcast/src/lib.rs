@@ -59,6 +59,6 @@ pub use loss::{
     FaultTrace, GilbertElliott, LossModel, LossScope, OutageSchedule, OutageWindow, TraceEntry,
 };
 pub use program::{PacketClass, Payload, Program};
-pub use scheme::{drive, drive_antennas, drive_traced, AirScheme, DynScheme, Query, QueryOutcome};
+pub use scheme::{drive, drive_traced, AirScheme, DynScheme, Query, QueryOutcome};
 pub use stats::{DistSummary, Distribution, MeanStats, QueryStats};
 pub use tuner::{PacketLost, Tuner};

@@ -5,17 +5,19 @@
 //! broadcast [`Program`] plus on-air window and kNN search algorithms that
 //! drive a [`Tuner`]. [`AirScheme`] captures exactly that surface, and
 //! [`drive`] is the one query loop every experiment goes through — it owns
-//! tune-in, loss, and stats collection, so schemes never reimplement the
-//! Tuner/loss/stats plumbing and new scenarios (channel configurations,
-//! loss models, workloads) are wired once instead of per index.
-//! [`drive_traced`] is the same loop with a per-read journal: fault
-//! replay and the placement optimizer's access profiles are both built
-//! from it.
+//! tune-in, receiver configuration, loss, and stats collection, so
+//! schemes never reimplement the Tuner/loss/stats plumbing and new
+//! scenarios (channel configurations, antenna counts, loss models,
+//! workloads) are wired once instead of per index. [`drive_traced`] is
+//! the same loop with a per-read journal: fault replay and the placement
+//! optimizer's access profiles are both built from it. These two are the
+//! whole drive family, here and on [`DynScheme`].
 //!
 //! [`DynScheme`] erases the scheme's packet type so heterogeneous schemes
-//! can sit in one collection (`Box<dyn DynScheme>`): the experiment matrix
-//! of `dsi-sim` iterates scheme × channel-config × loss × workload over
-//! it from a single code path.
+//! can sit behind one pointer (`dsi-sim`'s `Engine` derefs to a
+//! `dyn DynScheme`): the experiment matrix and the fleet engine drive
+//! every scheme × channel-config × loss × workload over it from a single
+//! code path.
 
 use dsi_geom::{Point, Rect};
 
@@ -92,26 +94,14 @@ pub struct QueryOutcome {
     pub channels: ChannelStats,
 }
 
-/// Runs one query to completion: tunes a client in at `start` under
-/// `loss` (seeded by `seed`), dispatches the query to the scheme's search
-/// algorithm, and collects both metric views. This is the only place the
-/// harness touches a [`Tuner`]. Single-antenna client; see
-/// [`drive_antennas`] for the multi-receiver model.
+/// Runs one query to completion: tunes a client with receiver
+/// configuration `antennas` in at `start` under `loss` (seeded by
+/// `seed`), dispatches the query to the scheme's search algorithm, and
+/// collects both metric views. This is the only place the harness
+/// touches a [`Tuner`]. Antennas change latency and tuning, never answers
+/// (the conformance suite pins this for every scheme × placement ×
+/// channel-count × loss combination).
 pub fn drive<S: AirScheme + ?Sized>(
-    scheme: &S,
-    start: u64,
-    loss: LossModel,
-    seed: u64,
-    query: &Query,
-) -> QueryOutcome {
-    drive_antennas(scheme, start, loss, seed, AntennaConfig::single(), query)
-}
-
-/// [`drive`] with an explicit receiver configuration: the client monitors
-/// up to `antennas.antennas` channels concurrently. Antennas change
-/// latency and tuning, never answers (the conformance suite pins this for
-/// every scheme × placement × channel-count × loss combination).
-pub fn drive_antennas<S: AirScheme + ?Sized>(
     scheme: &S,
     start: u64,
     loss: LossModel,
@@ -120,23 +110,15 @@ pub fn drive_antennas<S: AirScheme + ?Sized>(
     query: &Query,
 ) -> QueryOutcome {
     let mut tuner = Tuner::tune_in_with(scheme.program(), start, loss, seed, antennas);
-    let ids = match query {
-        Query::Window(w) => scheme.window(&mut tuner, w),
-        Query::Knn(q, k) => scheme.knn(&mut tuner, *q, *k),
-    };
-    QueryOutcome {
-        ids,
-        stats: tuner.stats(),
-        channels: tuner.channel_stats(),
-    }
+    answer(scheme, &mut tuner, query)
 }
 
-/// [`drive_antennas`] with a read journal: every read's channel, instant
-/// and loss outcome is recorded and returned as a [`FaultTrace`]
-/// alongside the outcome. Replaying the trace via [`LossModel::Trace`]
-/// (same scheme, same start, same antennas) reproduces the run's loss
-/// sequence exactly, with no RNG involved — the deterministic-reproduction
-/// entry point of the fault harness. Folding the journal through
+/// [`drive`] with a read journal: every read's channel, instant and loss
+/// outcome is recorded and returned as a [`FaultTrace`] alongside the
+/// outcome. Replaying the trace via [`LossModel::Trace`] (same scheme,
+/// same start, same antennas) reproduces the run's loss sequence
+/// exactly, with no RNG involved — the deterministic-reproduction entry
+/// point of the fault harness. Folding the journal through
 /// [`Program::flat_at`] yields the query's reads per flat schema position
 /// ([`crate::optimize::count_reads`]) — how the server learns which parts
 /// of the schema a training workload touches.
@@ -150,30 +132,33 @@ pub fn drive_traced<S: AirScheme + ?Sized>(
 ) -> (QueryOutcome, FaultTrace) {
     let mut tuner = Tuner::tune_in_with(scheme.program(), start, loss, seed, antennas);
     tuner.enable_fault_recording();
+    let outcome = answer(scheme, &mut tuner, query);
+    (outcome, tuner.take_fault_trace())
+}
+
+/// The body [`drive`] and [`drive_traced`] share: answers `query` on a
+/// tuned-in client and reads both metric views off it.
+fn answer<S: AirScheme + ?Sized>(
+    scheme: &S,
+    tuner: &mut Tuner<'_, S::Packet>,
+    query: &Query,
+) -> QueryOutcome {
     let ids = match query {
-        Query::Window(w) => scheme.window(&mut tuner, w),
-        Query::Knn(q, k) => scheme.knn(&mut tuner, *q, *k),
+        Query::Window(w) => scheme.window(tuner, w),
+        Query::Knn(q, k) => scheme.knn(tuner, *q, *k),
     };
-    let trace = tuner.take_fault_trace();
-    (
-        QueryOutcome {
-            ids,
-            stats: tuner.stats(),
-            channels: tuner.channel_stats(),
-        },
-        trace,
-    )
+    QueryOutcome {
+        ids,
+        stats: tuner.stats(),
+        channels: tuner.channel_stats(),
+    }
 }
 
 /// Packet-type-erased [`AirScheme`], so heterogeneous schemes fit one
-/// `Box<dyn DynScheme>`. Blanket-implemented for every `AirScheme`.
+/// `dyn DynScheme`. Blanket-implemented for every `AirScheme`.
 pub trait DynScheme: Send + Sync {
     /// Runs one query through [`drive`].
-    fn drive(&self, start: u64, loss: LossModel, seed: u64, query: &Query) -> QueryOutcome;
-
-    /// Runs one query through [`drive_antennas`] with an explicit
-    /// receiver configuration.
-    fn drive_antennas(
+    fn drive(
         &self,
         start: u64,
         loss: LossModel,
@@ -217,11 +202,7 @@ pub trait DynScheme: Send + Sync {
 }
 
 impl<S: AirScheme + Send + Sync> DynScheme for S {
-    fn drive(&self, start: u64, loss: LossModel, seed: u64, query: &Query) -> QueryOutcome {
-        drive(self, start, loss, seed, query)
-    }
-
-    fn drive_antennas(
+    fn drive(
         &self,
         start: u64,
         loss: LossModel,
@@ -229,7 +210,7 @@ impl<S: AirScheme + Send + Sync> DynScheme for S {
         antennas: AntennaConfig,
         query: &Query,
     ) -> QueryOutcome {
-        drive_antennas(self, start, loss, seed, antennas, query)
+        drive(self, start, loss, seed, antennas, query)
     }
 
     fn drive_traced(

@@ -439,7 +439,7 @@ proptest! {
             let scheme = OneUnit { program: &prog, flat: starts[u], len: l as u64 };
             let period = prog.channel_len(assignment[u]);
             let mean = (0..period)
-                .map(|s| drive(&scheme, s, LossModel::None, 1, &Query::Window(Rect::new(0.0, 0.0, 1.0, 1.0))).stats.latency_packets as f64)
+                .map(|s| drive(&scheme, s, LossModel::None, 1, AntennaConfig::single(), &Query::Window(Rect::new(0.0, 0.0, 1.0, 1.0))).stats.latency_packets as f64)
                 .sum::<f64>() / period as f64;
             prop_assert!(
                 (mean - predicted).abs() < 1e-9,

@@ -1,20 +1,21 @@
 //! Scheme construction: one enum of buildable schemes, one erased engine.
 //!
-//! Before the unified air-scheme layer every query type was dispatched
-//! through a per-index match arm here (three schemes × two query types of
-//! duplicated tune-in/loss/stats plumbing). [`Engine`] is now a thin box
-//! around [`DynScheme`]: building is the only scheme-specific step, and
-//! every query — any scheme, channel configuration, loss model, workload —
-//! goes through the one [`dsi_broadcast::drive`] loop.
+//! [`Engine`] is a shared handle on a built [`DynScheme`] plus its static
+//! model. Building is the only scheme-specific step; the engine derefs to
+//! the erased scheme, so every query — any scheme, channel configuration,
+//! antenna count, loss model, workload — goes through
+//! [`DynScheme::drive`] (or [`DynScheme::drive_traced`]) with nothing
+//! forwarded in between. Cloning an engine copies two pointers, so pool
+//! jobs hold their own.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use dsi_bptree::{BpAir, BpAirConfig};
-use dsi_broadcast::{
-    AntennaConfig, ChannelConfig, DynScheme, FaultTrace, LayoutError, LossModel, Query,
-    QueryOutcome, QueryStats,
-};
+use dsi_broadcast::{ChannelConfig, DynScheme, LayoutError};
 use dsi_core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
 use dsi_datagen::SpatialDataset;
-use dsi_geom::{Point, Rect};
+use dsi_geom::Point;
 use dsi_rtree::{RTreeAir, RtreeAirConfig};
 use dsi_verify::{StaticModel, Verifiable, VerifyReport, Violation};
 
@@ -54,13 +55,24 @@ impl Scheme {
     }
 }
 
-/// A built broadcast behind the unified [`DynScheme`] interface.
+/// A built broadcast behind the unified [`DynScheme`] interface. Derefs
+/// to the erased scheme (`engine.drive(..)`, `engine.cycle_packets()`,
+/// …); cheap to clone.
+#[derive(Clone)]
 pub struct Engine {
-    scheme: Box<dyn DynScheme>,
+    scheme: Arc<dyn DynScheme>,
     /// The static pointer-graph model extracted at build time, so any
     /// engine — whatever scheme or placement produced it — can be handed
     /// to the `dsi-verify` analyzer without re-deriving scheme internals.
-    model: StaticModel,
+    model: Arc<StaticModel>,
+}
+
+impl Deref for Engine {
+    type Target = dyn DynScheme;
+
+    fn deref(&self) -> &Self::Target {
+        &*self.scheme
+    }
 }
 
 impl Engine {
@@ -95,7 +107,7 @@ impl Engine {
         capacity: u32,
         channels: ChannelConfig,
     ) -> Result<Self, LayoutError> {
-        let (scheme, model): (Box<dyn DynScheme>, StaticModel) = match scheme {
+        let (scheme, model): (Arc<dyn DynScheme>, StaticModel) = match scheme {
             Scheme::Dsi(cfg, strategy) => {
                 let s = DsiScheme {
                     air: DsiAir::try_build_channels(
@@ -106,7 +118,7 @@ impl Engine {
                     strategy,
                 };
                 let model = s.static_model();
-                (Box::new(s), model)
+                (Arc::new(s), model)
             }
             Scheme::RTree => {
                 let pts: Vec<(u32, Point)> =
@@ -114,15 +126,18 @@ impl Engine {
                 let air =
                     RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(capacity), channels)?;
                 let model = air.static_model();
-                (Box::new(air), model)
+                (Arc::new(air), model)
             }
             Scheme::Hci => {
                 let air = BpAir::try_build_channels(dataset, BpAirConfig::new(capacity), channels)?;
                 let model = air.static_model();
-                (Box::new(air), model)
+                (Arc::new(air), model)
             }
         };
-        Ok(Self { scheme, model })
+        Ok(Self {
+            scheme,
+            model: Arc::new(model),
+        })
     }
 
     /// The static model extracted when this engine was built.
@@ -135,110 +150,14 @@ impl Engine {
     pub fn verify(&self) -> Result<VerifyReport, Vec<Violation>> {
         dsi_verify::verify(&self.model)
     }
-
-    /// Runs one query through the scheme-agnostic driver.
-    pub fn drive(&self, start: u64, loss: LossModel, seed: u64, query: &Query) -> QueryOutcome {
-        self.scheme.drive(start, loss, seed, query)
-    }
-
-    /// Runs one query with an explicit receiver configuration (the client
-    /// monitors up to `antennas.antennas` channels concurrently).
-    pub fn drive_antennas(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-    ) -> QueryOutcome {
-        self.scheme
-            .drive_antennas(start, loss, seed, antennas, query)
-    }
-
-    /// Runs one query while journaling every read's channel, instant and
-    /// loss outcome, returning the recorded [`FaultTrace`] alongside the
-    /// outcome. The trace replays the run exactly via [`LossModel::Trace`],
-    /// on any seed; folded through [`Engine::flat_at`]
-    /// ([`dsi_broadcast::optimize::count_reads`]) it yields the
-    /// access-probability profile the placement optimizer consumes.
-    pub fn drive_traced(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-    ) -> (QueryOutcome, FaultTrace) {
-        self.scheme.drive_traced(start, loss, seed, antennas, query)
-    }
-
-    /// The cohort-coalescing anchor of a tune-in at `start` — the
-    /// absolute instant of the client's first scheme-defined action, or
-    /// `None` when no sound anchor exists (multi-channel programs). See
-    /// [`dsi_broadcast::AirScheme::tune_anchor`] for the exact contract;
-    /// `dsi_sim::fleet` builds its deduplicated cohorts on it.
-    pub fn tune_anchor(&self, start: u64) -> Option<u64> {
-        self.scheme.tune_anchor(start)
-    }
-
-    /// Which flat positions begin an indivisible broadcast unit — the
-    /// structure a placement assigns to channels.
-    pub fn unit_starts(&self) -> Vec<bool> {
-        self.scheme.unit_starts()
-    }
-
-    /// Packets per (flat) broadcast cycle.
-    pub fn cycle_packets(&self) -> u64 {
-        self.scheme.cycle_packets()
-    }
-
-    /// Bytes per (flat) broadcast cycle.
-    pub fn cycle_bytes(&self) -> u64 {
-        self.scheme.cycle_bytes()
-    }
-
-    /// Number of parallel channels.
-    pub fn n_channels(&self) -> u32 {
-        self.scheme.n_channels()
-    }
-
-    /// Flat schema position of the packet airing at absolute instant
-    /// `abs` on `channel` — maps a [`Engine::drive_traced`] journal entry
-    /// back onto the schema.
-    pub fn flat_at(&self, channel: u32, abs: u64) -> u64 {
-        self.scheme.flat_at(channel, abs)
-    }
-
-    /// Runs one window query from tune-in packet `start`.
-    pub fn window(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        w: &Rect,
-    ) -> (Vec<u32>, QueryStats) {
-        let out = self.drive(start, loss, seed, &Query::Window(*w));
-        (out.ids, out.stats)
-    }
-
-    /// Runs one kNN query from tune-in packet `start`.
-    pub fn knn(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        q: Point,
-        k: usize,
-    ) -> (Vec<u32>, QueryStats) {
-        let out = self.drive(start, loss, seed, &Query::Knn(q, k));
-        (out.ids, out.stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::uniform_dataset_n;
+    use dsi_broadcast::{AntennaConfig, LossModel, Query};
+    use dsi_geom::Rect;
 
     #[test]
     fn all_engines_answer_identically() {
@@ -254,12 +173,13 @@ mod tests {
             Scheme::Hci,
         ] {
             let e = Engine::build(scheme, &ds, 64);
-            let (got_w, sw) = e.window(17, LossModel::None, 5, &w);
-            assert_eq!(got_w, want_w);
-            assert!(sw.tuning_packets <= sw.latency_packets);
-            let (got_k, sk) = e.knn(17, LossModel::None, 5, q, 7);
-            assert_eq!(got_k, want_k);
-            assert!(sk.tuning_packets <= sk.latency_packets);
+            let k1 = AntennaConfig::single();
+            let out = e.drive(17, LossModel::None, 5, k1, &Query::Window(w));
+            assert_eq!(out.ids, want_w);
+            assert!(out.stats.tuning_packets <= out.stats.latency_packets);
+            let out = e.drive(17, LossModel::None, 5, k1, &Query::Knn(q, 7));
+            assert_eq!(out.ids, want_k);
+            assert!(out.stats.tuning_packets <= out.stats.latency_packets);
         }
     }
 
@@ -276,9 +196,10 @@ mod tests {
             for scheme in [Scheme::dsi_reorganized(64), Scheme::RTree, Scheme::Hci] {
                 let e = Engine::build_channels(scheme, &ds, 64, chan.clone());
                 assert_eq!(e.n_channels(), 2);
-                let out = e.drive(31, LossModel::iid(0.2), 9, &Query::Window(w));
+                let k1 = AntennaConfig::single();
+                let out = e.drive(31, LossModel::iid(0.2), 9, k1, &Query::Window(w));
                 assert_eq!(out.ids, ds.brute_window(&w), "{chan:?}");
-                let out = e.drive(31, LossModel::iid(0.2), 9, &Query::Knn(q, 4));
+                let out = e.drive(31, LossModel::iid(0.2), 9, k1, &Query::Knn(q, 4));
                 assert_eq!(out.ids, ds.brute_knn(q, 4), "{chan:?}");
             }
         }

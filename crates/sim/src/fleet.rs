@@ -5,11 +5,15 @@
 //! # Why a fleet engine
 //!
 //! The paper's core economic argument is that a broadcast cycle serves an
-//! *unbounded* listener population at constant server cost. The classic
-//! harness path ([`crate::run_query_batch`]) simulates that population
-//! one client at a time — N clients cost N full drive loops, even though
-//! most of those loops are, from the channel's point of view, the same
-//! loop. The fleet engine exploits exactly the property the paper sells:
+//! *unbounded* listener population at constant server cost. A naive
+//! simulator pays for that population one client at a time — N clients
+//! cost N full drive loops, even though most of those loops are, from the
+//! channel's point of view, the same loop. The fleet engine is this
+//! crate's one batch path: a Zipf fleet ([`run_fleet`]), a classic
+//! query batch ([`crate::run_query_batch`], client `i` runs query `i`)
+//! and the placement optimizer's measurements are all
+//! [`run_population`] over an explicit [`Population`], and it exploits
+//! exactly the property the paper sells:
 //!
 //! 1. **Structure-of-arrays population.** Client state lives in flat
 //!    parallel arrays ([`Population`]: query index, tune-in instant, loss
@@ -20,10 +24,11 @@
 //! 2. **Cohort coalescing.** Under a lossless single-channel broadcast a
 //!    client's outcome is a pure function of `(query, first scheduled
 //!    action)`. Every scheme reports that first action via
-//!    [`Engine::tune_anchor`]; clients in the same wake region with equal
-//!    anchor and equal query form a *cohort* that is driven **once**. The
-//!    representative's absolute trajectory is shared: every member gets
-//!    identical answers, tuning, switches and channel stats, and its own
+//!    [`dsi_broadcast::DynScheme::tune_anchor`]; clients in the same wake
+//!    region with equal anchor and equal query form a *cohort* that is
+//!    driven **once**. The representative's absolute trajectory is
+//!    shared: every member gets identical answers, tuning, switches and
+//!    channel stats, and its own
 //!    access latency `end − start` (the paper's free-rider premise made
 //!    computational). Lossy or multi-channel populations degrade
 //!    gracefully to per-client drives — same code path, no sharing.
@@ -34,7 +39,7 @@
 //!    from the worker count — and results are merged by client index, so
 //!    **outcomes are bit-identical for any worker count**, including the
 //!    sequential oracle ([`run_fleet_oracle`], a plain per-client drive
-//!    loop).
+//!    loop). The pool is the crate's only parallel execution path.
 //! 4. **Shared decompositions.** Fleet workers install one
 //!    [`dsi_core::share::ShareCache`] from the pool's start hook, so representatives of *different*
 //!    cohorts running the same window query share its HC-segment
@@ -44,17 +49,18 @@
 //!
 //! # Determinism contract
 //!
-//! For a fixed [`FleetSpec`], [`run_fleet`] returns bit-identical
-//! [`FleetOutcomes`] for every worker count, equal to the sequential
-//! oracle's. Wall-clock figures and the share-cache hit/miss counters are
-//! measurements, not outcomes: they vary run to run (concurrent misses of
+//! For a fixed [`FleetSpec`] and [`Population`], [`run_population`]
+//! returns bit-identical [`FleetOutcomes`] for every worker count, equal
+//! to the sequential oracle's over the same population. Wall-clock
+//! figures and the share-cache hit/miss counters are measurements, not
+//! outcomes: they vary run to run (concurrent misses of
 //! the same key may both compute), and are reported for observability
 //! only. The differential suite (`crates/sim/tests/fleet_differential`)
 //! pins the contract across scheme × placement × antennas × loss ×
-//! worker count.
+//! worker count, for derived and classic populations.
 
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dsi_broadcast::{
@@ -66,7 +72,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::Engine;
-use crate::runner::{brute, SEED_MIX};
+
+/// Multiplier of the per-client seed derivation (`seed ^ i * SEED_MIX`),
+/// shared by every [`Population`] constructor and the matrix optimizer's
+/// training drives so they agree on what "client `i` of master seed `s`"
+/// means.
+pub(crate) const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Ground truth for one query.
+fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
+    match q {
+        Query::Window(w) => dataset.brute_window(w),
+        Query::Knn(p, k) => dataset.brute_knn(*p, *k),
+    }
+}
 
 /// One fleet scenario: a client population over a query pool.
 #[derive(Debug, Clone)]
@@ -119,23 +138,38 @@ impl FleetSpec {
     }
 }
 
-/// The derived client population, structure-of-arrays: column `i` of each
-/// array is client `i`. A pure function of `(spec, cycle)`, shared by the
-/// fleet engine and the sequential oracle so both drive the *same*
-/// clients.
+/// A client population, structure-of-arrays: column `i` of each array is
+/// client `i`. [`run_population`] and the sequential oracle both take it
+/// explicitly, so they drive the *same* clients.
 #[derive(Debug, Clone)]
 pub struct Population {
     /// Index into [`FleetSpec::pool`] per client.
     pub query: Vec<u32>,
     /// Tune-in instant per client, in `[0, cycle)`.
     pub start: Vec<u64>,
-    /// Loss seed per client (same derivation as [`crate::run_query_batch`]).
+    /// Loss seed per client: `seed ^ i·SEED_MIX` for client `i` of
+    /// master seed `seed`.
     pub seed: Vec<u64>,
 }
 
 impl Population {
-    /// Derives the population of `spec` for a broadcast of `cycle`
-    /// packets.
+    /// The classic batch population of `clients` queries: client `i`
+    /// runs pool entry `i`, tune-in instants are drawn in client order
+    /// from `StdRng::seed_from_u64(seed)`, and loss seeds follow the
+    /// shared `seed ^ i·SEED_MIX` derivation.
+    pub fn classic(clients: usize, cycle: u64, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Population {
+            query: (0..clients as u32).collect(),
+            start: (0..clients).map(|_| rng.gen_range(0..cycle)).collect(),
+            seed: (0..clients as u64)
+                .map(|i| seed ^ i.wrapping_mul(SEED_MIX))
+                .collect(),
+        }
+    }
+
+    /// Derives the Zipf population of `spec` for a broadcast of `cycle`
+    /// packets: a pure function of `(spec, cycle)`.
     pub fn derive(spec: &FleetSpec, cycle: u64) -> Self {
         assert!(!spec.pool.is_empty(), "fleet needs a non-empty query pool");
         assert!(cycle > 0, "empty broadcast cycle");
@@ -250,8 +284,8 @@ pub struct FleetStats {
     pub coalesced: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Wall-clock of the engine pass (population derivation through
-    /// outcome assembly).
+    /// Wall-clock of the engine pass over the population (wake index
+    /// through outcome assembly).
     pub wall_seconds: f64,
     /// Clients completed per wall second.
     pub clients_per_sec: f64,
@@ -281,9 +315,13 @@ pub struct FleetStats {
 
 /// Inputs shared by every granule task.
 struct Shared {
-    engine: Arc<Engine>,
-    dataset: Option<Arc<SpatialDataset>>,
+    engine: Engine,
     pool: Vec<Query>,
+    /// The dataset answers are checked against, when validating.
+    dataset: Option<Arc<SpatialDataset>>,
+    /// Brute-force answer per pool entry, computed once by the first
+    /// worker that validates it.
+    expected: Vec<OnceLock<Vec<u32>>>,
     pop: Population,
     /// Client ids sorted by (start instant, id) — the wake index order.
     order: Vec<u32>,
@@ -293,7 +331,6 @@ struct Shared {
     coalesce: bool,
     loss: LossModel,
     antennas: AntennaConfig,
-    validate: bool,
     keep_ids: bool,
     keep_channels: bool,
 }
@@ -307,12 +344,26 @@ struct Row {
     channels: Option<ChannelStats>,
 }
 
-/// One granule's output.
+/// One granule's output; merged, the whole run's totals.
 struct GranuleOut {
     rows: Vec<Row>,
     drives: usize,
     coalesced: usize,
+    /// Tuning packets of the drives actually executed.
+    driven_tuning: u64,
     per_channel_tuning: Vec<u64>,
+}
+
+impl GranuleOut {
+    fn new(rows: usize, channels: u32) -> Self {
+        GranuleOut {
+            rows: Vec::with_capacity(rows),
+            drives: 0,
+            coalesced: 0,
+            driven_tuning: 0,
+            per_channel_tuning: vec![0; channels as usize],
+        }
+    }
 }
 
 /// Drives the clients of `order[lo..hi]`: groups them into cohorts (when
@@ -335,12 +386,7 @@ fn run_granule(shared: &Shared, lo: usize, hi: usize) -> GranuleOut {
         .collect();
     items.sort_unstable();
 
-    let mut out = GranuleOut {
-        rows: Vec::with_capacity(hi - lo),
-        drives: 0,
-        coalesced: 0,
-        per_channel_tuning: vec![0; shared.engine.n_channels() as usize],
-    };
+    let mut out = GranuleOut::new(hi - lo, shared.engine.n_channels());
     let mut i = 0;
     while i < items.len() {
         let (key, qidx, rep) = items[i];
@@ -350,7 +396,7 @@ fn run_granule(shared: &Shared, lo: usize, hi: usize) -> GranuleOut {
         }
         let query = &shared.pool[qidx as usize];
         let rep_start = shared.pop.start[rep as usize];
-        let outcome = shared.engine.drive_antennas(
+        let outcome = shared.engine.drive(
             rep_start,
             shared.loss.clone(),
             shared.pop.seed[rep as usize],
@@ -358,14 +404,10 @@ fn run_granule(shared: &Shared, lo: usize, hi: usize) -> GranuleOut {
             query,
         );
         out.drives += 1;
+        out.driven_tuning += outcome.stats.tuning_packets;
         if let Some(ds) = &shared.dataset {
-            if shared.validate {
-                assert_eq!(
-                    outcome.ids,
-                    brute(ds, query),
-                    "fleet answer mismatch (client {rep})"
-                );
-            }
+            let want = shared.expected[qidx as usize].get_or_init(|| brute(ds, query));
+            assert_eq!(&outcome.ids, want, "fleet answer mismatch (client {rep})");
         }
         // The cohort's shared trajectory ends at this absolute instant;
         // each member's latency is `end − its own start` (equal to the
@@ -405,22 +447,36 @@ fn run_granule(shared: &Shared, lo: usize, hi: usize) -> GranuleOut {
     out
 }
 
-/// Runs a fleet: derives the population, builds the wake index, cuts it
-/// into anchor-aligned granules, executes them on the work-stealing pool,
-/// and assembles per-client outcomes plus population stats. See the
-/// module docs for the determinism contract.
+/// Runs a fleet: derives the Zipf population of `spec` and runs it
+/// through [`run_population`]. See the module docs for the determinism
+/// contract.
 pub fn run_fleet(
     engine: &Arc<Engine>,
     dataset: Option<&Arc<SpatialDataset>>,
     spec: &FleetSpec,
 ) -> (FleetStats, FleetOutcomes) {
-    assert!(
-        !spec.validate || dataset.is_some(),
-        "fleet validation needs the dataset"
-    );
+    let pop = Population::derive(spec, engine.cycle_packets());
+    run_population(engine, dataset, spec, pop)
+}
+
+/// Runs an explicit population: builds the wake index, cuts it into
+/// anchor-aligned granules, executes them on the work-stealing pool, and
+/// assembles per-client outcomes plus population stats. Client `i` runs
+/// `spec.pool[pop.query[i]]`; the population replaces `spec.clients`,
+/// `spec.skew` and `spec.seed`. With `spec.validate`, every driven answer
+/// is checked against its pool entry's brute-force answer, computed once
+/// per entry on the pool.
+pub fn run_population(
+    engine: &Engine,
+    dataset: Option<&Arc<SpatialDataset>>,
+    spec: &FleetSpec,
+    pop: Population,
+) -> (FleetStats, FleetOutcomes) {
+    let dataset = spec
+        .validate
+        .then(|| Arc::clone(dataset.expect("fleet validation needs the dataset")));
     let t0 = Instant::now();
     let cycle = engine.cycle_packets();
-    let pop = Population::derive(spec, cycle);
     let n = pop.len();
 
     // Wake index: counting sort of clients by tune-in instant (stable in
@@ -464,8 +520,10 @@ pub fn run_fleet(
     // the anchor changes (so cohorts rarely straddle a cut — a straddle
     // would only cost an extra representative drive, never correctness),
     // sized from the population alone so the task structure is
-    // independent of the worker count.
-    let target = (n / 256).clamp(32, 8192);
+    // independent of the worker count. Up to 2M clients that is about
+    // 256 granules (one per client below 256), so a dozen-query batch
+    // still spreads over every worker.
+    let target = (n / 256).clamp(1, 8192);
     let mut granules: Vec<(usize, usize)> = Vec::new();
     {
         let mut lo = 0usize;
@@ -498,16 +556,16 @@ pub fn run_fleet(
     };
     let cache = Arc::new(ShareCache::new());
     let shared = Arc::new(Shared {
-        engine: Arc::clone(engine),
-        dataset: dataset.map(Arc::clone),
+        engine: engine.clone(),
         pool: spec.pool.clone(),
+        expected: spec.pool.iter().map(|_| OnceLock::new()).collect(),
+        dataset,
         pop,
         order,
         anchor,
         coalesce,
         loss: spec.loss.clone(),
         antennas: spec.antennas,
-        validate: spec.validate,
         keep_ids: spec.keep_ids,
         keep_channels: spec.keep_channels,
     });
@@ -536,13 +594,16 @@ pub fn run_fleet(
     // Merge keyed by client id: arrival order of granule outputs cannot
     // affect the assembled columns.
     let mut outcomes = FleetOutcomes::with_capacity(n, 0, spec.keep_ids, spec.keep_channels);
-    let mut drives = 0usize;
-    let mut coalesced = 0usize;
-    let mut per_channel = vec![0u64; shared.engine.n_channels() as usize];
+    let mut totals = GranuleOut::new(0, shared.engine.n_channels());
     for g in rx.iter() {
-        drives += g.drives;
-        coalesced += g.coalesced;
-        for (acc, t) in per_channel.iter_mut().zip(&g.per_channel_tuning) {
+        totals.drives += g.drives;
+        totals.coalesced += g.coalesced;
+        totals.driven_tuning += g.driven_tuning;
+        for (acc, t) in totals
+            .per_channel_tuning
+            .iter_mut()
+            .zip(&g.per_channel_tuning)
+        {
             *acc += *t;
         }
         for row in g.rows {
@@ -564,31 +625,17 @@ pub fn run_fleet(
     }
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
 
-    let stats = assemble_stats(
-        &shared,
-        &outcomes,
-        drives,
-        coalesced,
-        workers,
-        wall,
-        per_channel,
-        cache.window_hits(),
-        cache.window_misses(),
-    );
+    let stats = assemble_stats(&shared.pop, &outcomes, totals, workers, wall, &cache);
     (stats, outcomes)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn assemble_stats(
-    shared: &Shared,
+    pop: &Population,
     outcomes: &FleetOutcomes,
-    drives: usize,
-    coalesced: usize,
+    totals: GranuleOut,
     workers: usize,
     wall: f64,
-    per_channel_tuning: Vec<u64>,
-    cache_hits: u64,
-    cache_misses: u64,
+    cache: &ShareCache,
 ) -> FleetStats {
     let n = outcomes.len();
     let mut latency = Distribution::with_capacity(n);
@@ -598,7 +645,7 @@ fn assemble_stats(
     let served_events: u64 = outcomes.tuning.iter().sum();
 
     // Concurrency curve from [start, start + latency) activity intervals.
-    let starts = &shared.pop.start;
+    let starts = &pop.start;
     let max_end = outcomes
         .latency
         .iter()
@@ -628,66 +675,38 @@ fn assemble_stats(
 
     FleetStats {
         clients: n,
-        drives,
-        coalesced,
+        drives: totals.drives,
+        coalesced: totals.coalesced,
         workers,
         wall_seconds: wall,
         clients_per_sec: n as f64 / wall,
         events_per_sec: served_events as f64 / wall,
-        driven_events_per_sec: driven_tuning(outcomes, shared) as f64 / wall,
+        driven_events_per_sec: totals.driven_tuning as f64 / wall,
         latency: latency.summary(),
         tuning: tuning.summary(),
         peak_concurrent: peak as u64,
         mean_concurrent: area as f64 / span as f64,
         contention,
-        per_channel_tuning,
-        window_cache_hits: cache_hits,
-        window_cache_misses: cache_misses,
+        per_channel_tuning: totals.per_channel_tuning,
+        window_cache_hits: cache.window_hits(),
+        window_cache_misses: cache.window_misses(),
     }
 }
 
-/// Tuning packets actually computed: one representative per cohort.
-fn driven_tuning(outcomes: &FleetOutcomes, shared: &Shared) -> u64 {
-    if !shared.coalesce {
-        return outcomes.tuning.iter().sum();
-    }
-    // Re-derive cohort representatives the same way granules do: lowest
-    // client id per (anchor, query) key.
-    let mut keys: Vec<(u64, u32, u32)> = (0..outcomes.len())
-        .map(|c| {
-            (
-                shared.anchor[shared.pop.start[c] as usize],
-                shared.pop.query[c],
-                c as u32,
-            )
-        })
-        .collect();
-    keys.sort_unstable();
-    let mut sum = 0u64;
-    let mut prev: Option<(u64, u32)> = None;
-    for (a, q, c) in keys {
-        if prev != Some((a, q)) {
-            sum += outcomes.tuning[c as usize];
-            prev = Some((a, q));
-        }
-    }
-    sum
-}
-
-/// The sequential oracle: every client driven individually, no pool, no
-/// coalescing, no share cache — the reference the fleet engine must match
-/// bit for bit. Returns the same [`FleetOutcomes`] columns.
+/// The sequential oracle: every client of `pop` driven individually, no
+/// pool, no coalescing, no share cache — the reference
+/// [`run_population`] must match bit for bit. Returns the same
+/// [`FleetOutcomes`] columns.
 pub fn run_fleet_oracle(
     engine: &Engine,
     dataset: Option<&SpatialDataset>,
     spec: &FleetSpec,
+    pop: &Population,
 ) -> FleetOutcomes {
-    let cycle = engine.cycle_packets();
-    let pop = Population::derive(spec, cycle);
     let mut out = FleetOutcomes::with_capacity(pop.len(), 0, spec.keep_ids, spec.keep_channels);
     for c in 0..pop.len() {
         let query = &spec.pool[pop.query[c] as usize];
-        let o = engine.drive_antennas(
+        let o = engine.drive(
             pop.start[c],
             spec.loss.clone(),
             pop.seed[c],
@@ -744,7 +763,8 @@ mod tests {
         let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
         let spec = small_spec(400);
         let (stats, outcomes) = run_fleet(&engine, Some(&ds), &spec);
-        let oracle = run_fleet_oracle(&engine, Some(&ds), &spec);
+        let pop = Population::derive(&spec, engine.cycle_packets());
+        let oracle = run_fleet_oracle(&engine, Some(&ds), &spec, &pop);
         assert_eq!(outcomes, oracle);
         assert_eq!(stats.clients, 400);
         assert!(stats.drives < 400, "lossless fleet must coalesce");
@@ -777,7 +797,8 @@ mod tests {
         spec.loss = LossModel::iid(0.2);
         let (stats, outcomes) = run_fleet(&engine, Some(&ds), &spec);
         assert_eq!(stats.drives, 120, "lossy clients cannot share trajectories");
-        assert_eq!(outcomes, run_fleet_oracle(&engine, Some(&ds), &spec));
+        let pop = Population::derive(&spec, engine.cycle_packets());
+        assert_eq!(outcomes, run_fleet_oracle(&engine, Some(&ds), &spec, &pop));
     }
 
     #[test]

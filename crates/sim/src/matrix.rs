@@ -20,7 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{Engine, Scheme};
-use crate::runner::{run_query_batch, BatchOptions, BatchResult, SEED_MIX};
+use crate::fleet::{run_population, FleetSpec, Population, SEED_MIX};
+use crate::runner::{run_query_batch, BatchOptions, BatchResult};
 use crate::table::{fmt_bytes, Table};
 
 /// A workload family, materialized into concrete queries per cell.
@@ -360,29 +361,40 @@ fn build_optimized(
     }
     let is_window = |queries: &[Query]| matches!(queries.first(), Some(Query::Window(_)));
     let any_window = train_sets.iter().any(|t| is_window(t));
-    let measure = |engine: &Engine| -> (f64, f64) {
-        let mut mean = [0.0f64; 2];
-        let mut count = 0u64;
-        for (wi, train) in train_sets.iter().enumerate() {
-            if any_window && !is_window(train) {
-                continue;
-            }
-            for (qi, q) in train.iter().take(m_cap).enumerate() {
-                for (ai, ant) in [1u32, 2].into_iter().enumerate() {
-                    let out = engine.drive_antennas(
-                        train_starts[wi][qi] % engine.cycle_packets(),
-                        LossModel::None,
-                        spec.seed ^ (qi as u64).wrapping_mul(SEED_MIX),
-                        AntennaConfig::new(ant),
-                        q,
-                    );
-                    mean[ai] += out.stats.latency_packets as f64;
-                    count += 1;
-                }
-            }
+    // The measured clients: training query `qi` of each scored workload
+    // at its training tune-in instant and seed, run as a k = 1 and a
+    // k = 2 population. Latencies are integers, so the summed means are
+    // exact whatever order the pool finishes in.
+    let mut m_pool: Vec<Query> = Vec::new();
+    let mut m_start: Vec<u64> = Vec::new();
+    let mut m_seed: Vec<u64> = Vec::new();
+    for (wi, train) in train_sets.iter().enumerate() {
+        if any_window && !is_window(train) {
+            continue;
         }
-        let n = (count / 2).max(1) as f64;
-        (mean[0] / n, mean[1] / n)
+        for (qi, q) in train.iter().take(m_cap).enumerate() {
+            m_pool.push(*q);
+            m_start.push(train_starts[wi][qi]);
+            m_seed.push(spec.seed ^ (qi as u64).wrapping_mul(SEED_MIX));
+        }
+    }
+    let measure = |engine: &Engine| -> (f64, f64) {
+        let cycle = engine.cycle_packets();
+        let pop = Population {
+            query: (0..m_pool.len() as u32).collect(),
+            start: m_start.iter().map(|s| s % cycle).collect(),
+            seed: m_seed.clone(),
+        };
+        let n = m_pool.len().max(1) as f64;
+        let mean = |ant: u32| {
+            let spec = FleetSpec {
+                antennas: AntennaConfig::new(ant),
+                ..FleetSpec::new(m_pool.len(), m_pool.clone())
+            };
+            let (_, out) = run_population(engine, None, &spec, pop.clone());
+            out.latency.iter().sum::<u64>() as f64 / n
+        };
+        (mean(1), mean(2))
     };
     // Every candidate is a `cover`ed arc map, which always schedules.
     let explicit = |assignment: &[u32]| {

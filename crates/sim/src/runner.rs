@@ -1,16 +1,19 @@
-//! Seeded, parallel, validated query batches.
+//! Seeded, validated query batches.
 //!
-//! [`run_query_batch`] is the single batch path: any [`Engine`] (scheme ×
-//! channel configuration), any [`Query`] list, any loss model. The window
-//! and kNN entry points are thin workload adapters over it.
+//! [`run_query_batch`] runs any [`Engine`] (scheme × channel
+//! configuration), any [`Query`] list, any loss model as a fleet over the
+//! classic population ([`Population::classic`]: client `i` runs query
+//! `i`) — the fleet engine's work-stealing pool is the only parallel path.
+//! The window and kNN entry points are thin workload adapters over it.
 
-use dsi_broadcast::{AntennaConfig, LossModel, MeanStats, Query, QueryOutcome};
+use std::sync::Arc;
+
+use dsi_broadcast::{AntennaConfig, LossModel, MeanStats, Query};
 use dsi_datagen::SpatialDataset;
 use dsi_geom::{Point, Rect};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::engine::Engine;
+use crate::fleet::{run_population, FleetOutcomes, FleetSpec, Population};
 
 /// Batch configuration.
 #[derive(Debug, Clone)]
@@ -58,25 +61,30 @@ pub struct BatchResult {
     pub mean_loss_retunes: f64,
 }
 
-fn aggregate(outcomes: Vec<QueryOutcome>) -> BatchResult {
+/// Means over the clients of `outcomes` in client order; `channels` sizes
+/// the per-channel column, so an empty batch still reports one entry per
+/// channel.
+fn aggregate(outcomes: &FleetOutcomes, channels: usize) -> BatchResult {
     let mut m = MeanStats::default();
     let mut switches = 0u64;
     let mut lost = 0u64;
     let mut max_stall = 0u64;
     let mut retunes = 0u64;
-    let channels = outcomes
-        .first()
-        .map_or(1, |o| o.channels.tuning_packets.len());
     let mut per_channel = vec![0.0f64; channels];
     let n = outcomes.len().max(1) as f64;
-    for o in &outcomes {
-        m.push(o.stats);
-        switches += o.channels.switches;
-        lost += o.stats.lost_packets;
-        max_stall = max_stall.max(o.stats.longest_stall_packets);
-        retunes += o.stats.loss_retunes;
+    let per_client = outcomes
+        .channels
+        .as_deref()
+        .expect("batches keep channel stats");
+    for (i, ch) in per_client.iter().enumerate() {
+        let stats = outcomes.stats_of(i);
+        m.push(stats);
+        switches += ch.switches;
+        lost += stats.lost_packets;
+        max_stall = max_stall.max(stats.longest_stall_packets);
+        retunes += stats.loss_retunes;
         for (c, sum) in per_channel.iter_mut().enumerate() {
-            *sum += o.channels.tuning_bytes(c) as f64 / n;
+            *sum += ch.tuning_bytes(c) as f64 / n;
         }
     }
     BatchResult {
@@ -91,74 +99,29 @@ fn aggregate(outcomes: Vec<QueryOutcome>) -> BatchResult {
     }
 }
 
-/// Multiplier of the per-query seed derivation (`seed ^ i * SEED_MIX`),
-/// shared by [`run_query_batch`], the fleet population and the matrix
-/// optimizer's training drives so they agree on what "client `i` of
-/// master seed `s`" means.
-pub(crate) const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Ground truth for one query.
-pub(crate) fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
-    match q {
-        Query::Window(w) => dataset.brute_window(w),
-        Query::Knn(p, k) => dataset.brute_knn(*p, *k),
-    }
-}
-
-/// Runs every query of `queries` through the engine's driver, in
-/// parallel, with a deterministic (start, seed) pair per query;
-/// optionally validates each answer against brute force.
+/// Runs every query of `queries` as client `i` of the classic population
+/// (tune-in instants drawn in order from `opts.seed`, loss seeds
+/// `opts.seed ^ i·SEED_MIX`) on the fleet engine; optionally validates
+/// each answer against brute force.
 pub fn run_query_batch(
     engine: &Engine,
     dataset: &SpatialDataset,
     queries: &[Query],
     opts: &BatchOptions,
 ) -> BatchResult {
-    let cycle = engine.cycle_packets();
-    // Pre-draw tune-in positions so parallelism cannot change them.
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let starts: Vec<u64> = (0..queries.len())
-        .map(|_| rng.gen_range(0..cycle))
-        .collect();
-    let starts = &starts;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(queries.len().max(1));
-    let chunk = queries.len().div_ceil(threads.max(1)).max(1);
-    let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; queries.len()];
-    std::thread::scope(|scope| {
-        for (qi_chunk, out_chunk) in queries
-            .chunks(chunk)
-            .zip(outcomes.chunks_mut(chunk))
-            .enumerate()
-            .map(|(ci, (q, s))| ((ci * chunk, q), s))
-        {
-            let ((base, qs), out) = (qi_chunk, out_chunk);
-            scope.spawn(move || {
-                for (i, q) in qs.iter().enumerate() {
-                    let qi = base + i;
-                    let o = engine.drive_antennas(
-                        starts[qi],
-                        opts.loss.clone(),
-                        opts.seed ^ (qi as u64).wrapping_mul(SEED_MIX),
-                        opts.antennas,
-                        q,
-                    );
-                    if opts.validate {
-                        assert_eq!(o.ids, brute(dataset, q), "answer mismatch on query {qi}");
-                    }
-                    out[i] = Some(o);
-                }
-            });
-        }
-    });
-    aggregate(
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("worker ran"))
-            .collect(),
-    )
+    let spec = FleetSpec {
+        loss: opts.loss.clone(),
+        antennas: opts.antennas,
+        seed: opts.seed,
+        validate: opts.validate,
+        keep_channels: true,
+        ..FleetSpec::new(queries.len(), queries.to_vec())
+    };
+    let pop = Population::classic(queries.len(), engine.cycle_packets(), opts.seed);
+    // Validating workers share the dataset; only then is it copied.
+    let dataset = opts.validate.then(|| Arc::new(dataset.clone()));
+    let (_, outcomes) = run_population(engine, dataset.as_ref(), &spec, pop);
+    aggregate(&outcomes, engine.n_channels() as usize)
 }
 
 /// Runs a window-query batch; validates against [`SpatialDataset::brute_window`].
@@ -221,6 +184,26 @@ mod tests {
         };
         let r = run_knn_batch(&e, &ds, &qs, 5, &opts);
         assert_eq!(r.queries, 6);
+    }
+
+    #[test]
+    fn empty_batch_reports_every_channel() {
+        let ds = uniform_dataset_n(200);
+        let e = Engine::build_channels(
+            Scheme::dsi_reorganized(64),
+            &ds,
+            64,
+            ChannelConfig::blocked(2, 1),
+        );
+        let r = run_query_batch(&e, &ds, &[], &BatchOptions::default());
+        assert_eq!(r.queries, 0);
+        assert_eq!(r.per_channel_tuning_bytes, vec![0.0, 0.0]);
+        assert_eq!(r.latency_bytes, 0.0);
+        assert_eq!(r.tuning_bytes, 0.0);
+        assert_eq!(r.mean_switches, 0.0);
+        assert_eq!(r.mean_lost_packets, 0.0);
+        assert_eq!(r.mean_loss_retunes, 0.0);
+        assert_eq!(r.max_stall_packets, 0);
     }
 
     #[test]

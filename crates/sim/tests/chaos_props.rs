@@ -57,7 +57,7 @@ proptest! {
             Query::Knn(p, k) => ds.brute_knn(*p, *k),
         };
         let start = start % e.cycle_packets();
-        let o = e.drive_antennas(start, loss, seed, AntennaConfig::new(antennas), &q);
+        let o = e.drive(start, loss, seed, AntennaConfig::new(antennas), &q);
         prop_assert_eq!(&o.ids, &brute, "answers survive the outage");
         let per_read = e.cycle_packets() + SWITCH_COST as u64;
         let bound = clean_after.saturating_sub(start) + (o.stats.tuning_packets + 2) * per_read;

@@ -6,13 +6,14 @@
 //! sequential per-client oracle, for every worker count. This suite pins
 //! the contract across the full configuration cross product the harness
 //! supports: scheme × channel placement × antennas × loss model ×
-//! worker count.
+//! worker count. The classic batch population (`Population::classic`,
+//! what `run_query_batch` runs) is held to the same contract.
 
 use std::sync::Arc;
 
 use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, Query};
 use dsi_datagen::{knn_points, window_queries, SpatialDataset};
-use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec};
+use dsi_sim::fleet::{run_fleet, run_fleet_oracle, run_population, FleetSpec, Population};
 use dsi_sim::{uniform_dataset_n, Engine, Scheme};
 
 fn mixed_pool() -> Vec<Query> {
@@ -54,8 +55,10 @@ fn check_engine(engine: Engine, dataset: &Arc<SpatialDataset>, losses: &[LossMod
                     s.validate = true;
                 }
                 let (_, outcomes) = run_fleet(&engine, Some(dataset), &s);
-                let oracle =
-                    reference.get_or_insert_with(|| run_fleet_oracle(&engine, Some(dataset), &s));
+                let oracle = reference.get_or_insert_with(|| {
+                    let pop = Population::derive(&s, engine.cycle_packets());
+                    run_fleet_oracle(&engine, Some(dataset), &s, &pop)
+                });
                 assert_eq!(
                     &outcomes, oracle,
                     "fleet != oracle ({loss:?}, {antennas} antennas, {workers} workers)"
@@ -100,5 +103,37 @@ fn striped_four_channel_placement() {
             &ds,
             &[LossModel::None, LossModel::gilbert(0.02, 0.25, 0.8)],
         );
+    }
+}
+
+#[test]
+fn classic_population_matches_the_oracle() {
+    let ds = Arc::new(uniform_dataset_n(220));
+    // The mixed pool three times over: equal queries at distinct client
+    // indices, as a classic batch may hold them.
+    let queries: Vec<Query> = mixed_pool().into_iter().cycle().take(30).collect();
+    for chan in [ChannelConfig::single(), ChannelConfig::blocked(2, 1)] {
+        for scheme in [Scheme::dsi_reorganized(64), Scheme::RTree, Scheme::Hci] {
+            let engine = Engine::build_channels(scheme, &ds, 64, chan.clone());
+            let pop = Population::classic(queries.len(), engine.cycle_packets(), 7);
+            for loss in [LossModel::None, LossModel::gilbert(0.05, 0.3, 0.9)] {
+                let mut s = FleetSpec {
+                    loss: loss.clone(),
+                    validate: true,
+                    keep_ids: true,
+                    keep_channels: true,
+                    ..FleetSpec::new(queries.len(), queries.clone())
+                };
+                let oracle = run_fleet_oracle(&engine, Some(&ds), &s, &pop);
+                for workers in [1usize, 2, 0] {
+                    s.workers = workers;
+                    let (_, outcomes) = run_population(&engine, Some(&ds), &s, pop.clone());
+                    assert_eq!(
+                        outcomes, oracle,
+                        "classic fleet != oracle ({chan:?}, {loss:?}, {workers} workers)"
+                    );
+                }
+            }
+        }
     }
 }

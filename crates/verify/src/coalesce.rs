@@ -10,7 +10,7 @@
 //! 1. **Anchor totality.** On a single-channel program the static anchor
 //!    of a tune-in at flat position `p` is the next navigation entry
 //!    start at or after `p` (wrapping past the cycle end) — the static
-//!    counterpart of `Engine::tune_anchor`'s "doze to the first
+//!    counterpart of `DynScheme::tune_anchor`'s "doze to the first
 //!    scheme-defined action". With at least one entry the map is total:
 //!    see [`static_anchor_map`].
 //! 2. **No pre-anchor knowledge.** Key-directed navigation (DSI)
@@ -30,7 +30,7 @@
 //!
 //! The verdict rides in [`crate::VerifyReport::coalesce`] and the verify
 //! grid report (`--bin verify`), which additionally cross-checks the
-//! static anchor partition against the live `Engine::tune_anchor`.
+//! static anchor partition against the live `DynScheme::tune_anchor`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -76,7 +76,7 @@ impl CoalesceReport {
 /// instant of the next navigation entry start at or after `p`. Positions
 /// after the last entry wrap to the first entry of the *next* cycle, so
 /// values can reach `first_entry + n_packets` — anchors are instants,
-/// not positions, exactly like `Engine::tune_anchor`.
+/// not positions, exactly like `DynScheme::tune_anchor`.
 ///
 /// Returns `None` when no sound anchor exists (multi-channel program or
 /// no entries), mirroring the dynamic contract.

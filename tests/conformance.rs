@@ -108,14 +108,14 @@ fn run(
 ) -> QueryOutcome {
     let cycle = scheme.cycle_packets();
     match kind {
-        "window" => scheme.drive_antennas(
+        "window" => scheme.drive(
             (qi as u64 * 7919) % cycle,
             loss,
             qi as u64,
             antennas,
             &Query::Window(windows[qi]),
         ),
-        _ => scheme.drive_antennas(
+        _ => scheme.drive(
             (qi as u64 * 6151) % cycle,
             loss,
             qi as u64,
@@ -1670,6 +1670,7 @@ fn blocked_beats_unit_stripe_and_stripe_frames_closes_the_gap() {
                 (qi as u64 * 7919) % dsi.cycle_packets(),
                 LossModel::None,
                 qi as u64,
+                AntennaConfig::single(),
                 &Query::Window(*w),
             );
             assert_eq!(out.ids, ds.brute_window(w));

@@ -8,7 +8,9 @@
 //! of the single-channel path, down to the per-packet RNG draw sequence.
 
 use dsi::bptree::{BpAir, BpAirConfig};
-use dsi::broadcast::{ChannelConfig, DynScheme, LossModel, Placement, Query, QueryOutcome};
+use dsi::broadcast::{
+    AntennaConfig, ChannelConfig, DynScheme, LossModel, Placement, Query, QueryOutcome,
+};
 use dsi::core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
 use dsi::datagen::{knn_points, uniform, window_queries, SpatialDataset};
 use dsi::rtree::{RTreeAir, RtreeAirConfig};
@@ -120,12 +122,14 @@ fn run(
             (qi as u64 * 7919) % cycle,
             loss,
             qi as u64,
+            AntennaConfig::single(),
             &Query::Window(windows[qi]),
         ),
         _ => scheme.drive(
             (qi as u64 * 6151) % cycle,
             loss,
             qi as u64,
+            AntennaConfig::single(),
             &Query::Knn(points[qi], K),
         ),
     }
@@ -221,6 +225,7 @@ fn blocked_channels_shorten_latency_for_window_queries() {
                 (qi as u64 * 7919) % dsi.cycle_packets(),
                 LossModel::None,
                 qi as u64,
+                AntennaConfig::single(),
                 &Query::Window(*w),
             );
             total += out.stats.latency_packets;
@@ -242,7 +247,13 @@ fn drive_reports_channel_switches_under_split() {
     let windows = window_queries(4, 0.2, 3);
     let chan = ChannelConfig::index_data(2, 1, 1);
     for (name, scheme) in schemes(&ds, &chan) {
-        let out = scheme.drive(17, LossModel::None, 5, &Query::Window(windows[0]));
+        let out = scheme.drive(
+            17,
+            LossModel::None,
+            5,
+            AntennaConfig::single(),
+            &Query::Window(windows[0]),
+        );
         assert_eq!(out.ids, ds.brute_window(&windows[0]), "{name}");
         assert!(out.channels.switches > 0, "{name}: no switches recorded");
         assert!(

@@ -62,7 +62,7 @@ fn bounds_dominate_measured_maxima_within_documented_slack() {
             for (qi, q) in queries.iter().enumerate() {
                 for s in 0..6u64 {
                     for antennas in [1u32, 2] {
-                        let out = engine.drive_antennas(
+                        let out = engine.drive(
                             s * cycle / 6,
                             LossModel::None,
                             qi as u64,
