@@ -168,6 +168,70 @@ fn single_channel_unified_path_reproduces_pre_refactor_stats() {
     }
 }
 
+/// (strategy, loss, query index, latency_packets, tuning_packets) of 10NN
+/// queries over the unreorganized broadcast (`DsiConfig::paper_default()`,
+/// 64 B packets, single channel). The table above drives only the
+/// reorganized program with the conservative strategy; these rows pin the
+/// paper's plain layout under both navigation strategies, the aggressive
+/// one included.
+const GOLDEN_UNREORGANIZED_10NN: &[(KnnStrategy, &str, usize, u64, u64)] = &[
+    (KnnStrategy::Conservative, "none", 0, 1741, 594),
+    (KnnStrategy::Conservative, "none", 1, 4576, 677),
+    (KnnStrategy::Conservative, "none", 2, 4845, 766),
+    (KnnStrategy::Conservative, "none", 3, 1950, 638),
+    (KnnStrategy::Conservative, "iid30", 0, 1741, 737),
+    (KnnStrategy::Conservative, "iid30", 1, 4576, 978),
+    (KnnStrategy::Conservative, "iid30", 2, 4845, 853),
+    (KnnStrategy::Conservative, "iid30", 3, 1950, 803),
+    (KnnStrategy::Aggressive, "none", 0, 11414, 437),
+    (KnnStrategy::Aggressive, "none", 1, 16006, 630),
+    (KnnStrategy::Aggressive, "none", 2, 13061, 763),
+    (KnnStrategy::Aggressive, "none", 3, 16274, 630),
+    (KnnStrategy::Aggressive, "iid30", 0, 6568, 595),
+    (KnnStrategy::Aggressive, "iid30", 1, 27487, 920),
+    (KnnStrategy::Aggressive, "iid30", 2, 23081, 820),
+    (KnnStrategy::Aggressive, "iid30", 3, 16456, 621),
+];
+
+#[test]
+fn unreorganized_knn_strategies_reproduce_pinned_stats() {
+    let ds = dataset();
+    let points = knn_points(4, 9);
+    let air = DsiAir::build(&ds, DsiConfig::paper_default().with_capacity(64));
+    let mut got = Vec::new();
+    for strategy in [KnnStrategy::Conservative, KnnStrategy::Aggressive] {
+        let scheme = DsiScheme {
+            air: air.clone(),
+            strategy,
+        };
+        let cycle = scheme.cycle_packets();
+        for (loss_name, loss) in [("none", LossModel::None), ("iid30", LossModel::iid(0.3))] {
+            for (qi, &q) in points.iter().enumerate() {
+                let out = scheme.drive(
+                    (qi as u64 * 6151) % cycle,
+                    loss.clone(),
+                    qi as u64,
+                    AntennaConfig::single(),
+                    &Query::Knn(q, 10),
+                );
+                assert_eq!(
+                    out.ids,
+                    ds.brute_knn(q, 10),
+                    "{strategy:?}/{loss_name} q{qi}"
+                );
+                got.push((
+                    strategy,
+                    loss_name,
+                    qi,
+                    out.stats.latency_packets,
+                    out.stats.tuning_packets,
+                ));
+            }
+        }
+    }
+    assert_eq!(got, GOLDEN_UNREORGANIZED_10NN);
+}
+
 #[test]
 fn multi_channel_answers_stay_exact() {
     let ds = dataset();
