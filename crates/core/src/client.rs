@@ -28,6 +28,14 @@
 //! the no-loss path. In dsi-core's unit tests the driver audits that
 //! state against the from-scratch oracle after every event.
 //!
+//! Remainders may be **lazy**: the kNN mode leaves rim blocks of its
+//! search circle unsplit, and every question the driver asks of the
+//! remainders — the first cell at or after a position, the last one
+//! before it, any cell in a span, any cell at all — goes through
+//! [`LazyRanges`], which has the mode settle exactly the entries the
+//! question reaches. Window and point queries hold exact ranges; their
+//! settle is a constant `false` that monomorphization removes.
+//!
 //! What differs between queries — which intervals are targets, which
 //! objects qualify, when the query is complete, which remainder to chase
 //! first — is abstracted as [`QueryMode`]. Link errors never abort a query:
@@ -38,12 +46,14 @@
 
 use dsi_broadcast::Tuner;
 use dsi_datagen::Object;
+#[cfg(test)]
 use dsi_hilbert::HcRange;
+use dsi_hilbert::{HcSpan, LazyRanges, Reach};
 
 use crate::build::{DsiAir, DsiPacket};
 use crate::hotpath;
 use crate::layout::DsiLayout;
-use crate::state::{Knowledge, QueryState, ScanLog};
+use crate::state::{Knowledge, QueryState, Retries, ScanLog};
 use crate::table::IndexTable;
 
 /// Which destination the navigator should chase.
@@ -68,22 +78,41 @@ pub(crate) enum TargetsChange {
     /// Targets were rebuilt arbitrarily; remainders must be re-derived by
     /// subtracting the cleared set from the new targets.
     Replaced,
-    /// The new targets cover a **subset** of the previous targets' HC
-    /// values (kNN: the search circle only ever shrinks). The driver may
-    /// narrow the existing remainders in place — intersect them with the
-    /// new targets — without consulting the cleared set at all.
+    /// Every new target is a previous target kept unchanged; the others
+    /// were dropped (kNN: the search circle only ever shrinks). The driver
+    /// may narrow the existing remainders in place — intersect them with
+    /// the new targets — without consulting the cleared set at all.
     Narrowed,
 }
 
 /// Query-specific behaviour plugged into the shared driver.
 pub(crate) trait QueryMode {
-    /// Rebuilds the current target intervals (sorted, disjoint) into
-    /// `out` **iff they changed** since the last call, returning how. The
-    /// driver owns `out` and derives remainders from it incrementally, so
-    /// modes must only signal genuine changes (kNN: the search circle
-    /// shrank) and may claim [`TargetsChange::Narrowed`] only when the new
-    /// targets are a subset of the old.
-    fn refresh_targets(&mut self, know: &Knowledge, out: &mut Vec<HcRange>) -> TargetsChange;
+    /// A target entry: a plain range, or the kNN mode's circle entry with
+    /// its distance bounds. Remainders carry the entry of the target they
+    /// lie in.
+    type Target: HcSpan;
+
+    /// Updates the targets **iff they changed** since the last call and
+    /// returns how. The driver derives remainders from them
+    /// incrementally, so modes must only signal genuine changes (kNN: the
+    /// search circle shrank) and may claim [`TargetsChange::Narrowed`]
+    /// only when they kept or dropped whole targets.
+    fn refresh_targets(&mut self) -> TargetsChange;
+
+    /// The current targets, sorted and disjoint. An entry may be lazy — a
+    /// kNN rim block standing for the exact ranges it splits into.
+    fn targets(&self) -> &[Self::Target];
+
+    /// Makes remainder `rem[i]` exact where `reach` reads it, returning
+    /// `true`, or returns `false` if it already was (the contract of
+    /// [`LazyRanges::settle`]). The kNN mode refines the lazy target
+    /// `rem[i]` lies in along the probe's path and re-derives every
+    /// remainder inside that target; static targets are always exact.
+    #[inline]
+    fn settle(&mut self, rem: &mut Vec<Self::Target>, i: usize, reach: Reach) -> bool {
+        let _ = (rem, i, reach);
+        false
+    }
 
     /// Real objects with these HC values exist (one index table's entries,
     /// or the schema's block boundaries, delivered as a batch so the mode
@@ -106,12 +135,57 @@ pub(crate) trait QueryMode {
         true
     }
 
+    /// Whether [`Self::nav_pick`] reads its `entry_targets`; the driver
+    /// filters them only then, since the filter's probes settle lazy
+    /// remainders.
+    fn reads_entry_targets(&self) -> bool {
+        false
+    }
+
     /// Which destination to chase next. `entry_targets` holds the
     /// (broadcast slot, min HC) pairs of the most recently read index
-    /// table — the frames "reachable" from here in the paper's sense.
-    fn nav_pick(&mut self, rem: &[HcRange], entry_targets: &[(u32, u64)]) -> NavPick {
+    /// table that may still hold remainder content — the frames
+    /// "reachable" from here in the paper's sense (empty unless
+    /// [`Self::reads_entry_targets`]). Remainders the pick reads must be
+    /// settled first.
+    fn nav_pick(&mut self, rem: &mut Vec<Self::Target>, entry_targets: &[(u32, u64)]) -> NavPick {
         let _ = (rem, entry_targets);
         NavPick::Earliest
+    }
+
+    /// The exact ranges the targets settle to — the test-build oracle's
+    /// side of [`QueryState::audit_rem`] — after checking that the held
+    /// targets are consistent with them.
+    #[cfg(test)]
+    fn audit_targets(&self) -> Vec<HcRange> {
+        self.targets().iter().map(|t| t.range()).collect()
+    }
+
+    /// `rem` with every lazy entry settled, computed on a copy — the live
+    /// state is left as it is — as maximal ranges.
+    #[cfg(test)]
+    fn settled(&self, rem: &[Self::Target]) -> Vec<HcRange> {
+        rem.iter().map(|t| t.range()).collect()
+    }
+}
+
+/// The remainders as the driver's probes see them: answers are exact, and
+/// a probe reaching a lazy entry has the mode settle it.
+struct Remainders<'a, M: QueryMode> {
+    rem: &'a mut Vec<M::Target>,
+    mode: &'a mut M,
+}
+
+impl<M: QueryMode> LazyRanges for Remainders<'_, M> {
+    type Item = M::Target;
+
+    fn items(&self) -> &[M::Target] {
+        self.rem
+    }
+
+    #[inline]
+    fn settle(&mut self, i: usize, reach: Reach) -> bool {
+        self.mode.settle(self.rem, i, reach)
     }
 }
 
@@ -121,12 +195,8 @@ enum Pending {
     /// Positioned at the frame start of `slot`: read its index table.
     Table(u32),
     /// Visit objects of `slot`: retries, plus (optionally) the unread
-    /// fresh tail. `max_hi` is the early-exit threshold for fresh reads.
-    Visit {
-        slot: u32,
-        include_fresh: bool,
-        max_hi: u64,
-    },
+    /// fresh tail.
+    Visit { slot: u32, include_fresh: bool },
 }
 
 /// Reusable buffers owned by the driver so the steady-state loop performs
@@ -167,7 +237,7 @@ pub(crate) fn run_query<M: QueryMode>(
     mode: &mut M,
 ) {
     let l = air.layout();
-    let mut state = QueryState::new(l, air.curve().max_d());
+    let mut state = QueryState::<M::Target>::new(l, air.curve().max_d());
     let mut scratch = QueryScratch::default();
     // The schema's block boundaries are minimum HC values of real objects.
     mode.on_virtuals(l.block_min_hc());
@@ -230,14 +300,12 @@ pub(crate) fn run_query<M: QueryMode>(
             Pending::Visit {
                 slot,
                 include_fresh,
-                max_hi,
             } => {
                 visit_frame(
                     air,
                     tuner,
                     slot,
                     include_fresh,
-                    max_hi,
                     mode,
                     &mut state,
                     &mut scratch.visit,
@@ -249,14 +317,19 @@ pub(crate) fn run_query<M: QueryMode>(
 
         // Bring the remainder state up to date (incremental path: only
         // target changes trigger work; events already applied deltas).
-        // Liveness needs no separate sweep: the kNN mode's targets are a
-        // direct circle decomposition, so every published target — hence
-        // every remainder derived from them — is within the radius the
-        // targets were refreshed for.
-        state.refresh_targets(|know, out| mode.refresh_targets(know, out));
+        // Liveness needs no separate sweep: every kNN target lies in the
+        // circle its radius was published for (a lazy one settles to
+        // pieces that do), hence so does every remainder.
+        let change = mode.refresh_targets();
+        state.refresh_targets(change, mode.targets());
         #[cfg(test)]
-        state.audit_rem();
-        if state.settled() && mode.complete() {
+        state.audit_rem(mode);
+        let mut rem = Remainders {
+            rem: &mut state.rem,
+            mode: &mut *mode,
+        };
+        // The cheap tests first: the emptiness probe may settle an entry.
+        if state.retries.is_empty() && rem.mode.complete() && rem.is_exhausted() {
             break;
         }
 
@@ -265,21 +338,19 @@ pub(crate) fn run_query<M: QueryMode>(
         if let Some(slot) = just_read_table {
             let t = l.hc_index_of_slot(slot);
             let (lb, ub) = state.know.span_est(t);
-            let rem = state.rem();
-            let overlap = overlaps_any(rem, lb, ub);
+            let overlap = rem.any_in(lb, ub);
             let attempted = fully_attempted(&state.log, t, l.objects_in_slot(slot));
             let has_retry = !state.retries.for_slot(slot).is_empty();
             if (overlap && !attempted) || has_retry {
                 pending = Pending::Visit {
                     slot,
                     include_fresh: overlap && !attempted,
-                    max_hi: max_hi_of(rem),
                 };
                 continue;
             }
         }
 
-        match navigate(air, tuner, mode, &state, &mut scratch) {
+        match navigate(air, tuner, mode, &mut state, &mut scratch) {
             Some(p) => pending = p,
             None => break,
         }
@@ -292,16 +363,10 @@ fn fully_attempted(log: &ScanLog, t: u32, n_obj: u32) -> bool {
     log.get(t).is_some_and(|s| s.read_upto >= n_obj)
 }
 
-fn max_hi_of(rem: &[HcRange]) -> u64 {
-    // Sorted and disjoint: the last range has the largest end.
-    rem.last().map_or(0, |r| r.hi)
-}
-
-/// Whether any remainder intersects the half-open span `[lb, ub)`.
-/// Remainders are sorted and disjoint, so a binary search answers it.
-fn overlaps_any(rem: &[HcRange], lb: u64, ub: u64) -> bool {
-    let i = rem.partition_point(|r| r.hi < lb);
-    i < rem.len() && rem[i].lo < ub
+/// The last remainder cell (0 if none): the early-exit threshold of a
+/// frame's fresh reads.
+fn max_hi(rem: &mut impl LazyRanges) -> u64 {
+    rem.last_below(u64::MAX).unwrap_or(0)
 }
 
 /// Reads the (possibly multi-packet) index table at the current position.
@@ -339,15 +404,25 @@ fn visit_frame<M: QueryMode>(
     tuner: &mut Tuner<'_, DsiPacket>,
     slot: u32,
     include_fresh: bool,
-    max_hi: u64,
     mode: &mut M,
-    state: &mut QueryState<'_>,
+    state: &mut QueryState<'_, M::Target>,
     visit: &mut Vec<(u32, bool)>,
     visit_flats: &mut Vec<u64>,
 ) {
     let l = air.layout();
     let t = l.hc_index_of_slot(slot);
     let n_obj = l.objects_in_slot(slot);
+    // The early-exit threshold of fresh reads: the last remainder cell as
+    // the visit starts (nothing has changed since it was planned).
+    // Retry-only visits never read it.
+    let max_hi = if include_fresh {
+        max_hi(&mut Remainders {
+            rem: &mut state.rem,
+            mode: &mut *mode,
+        })
+    } else {
+        0
+    };
 
     // Retry indices are sorted and all precede the fresh tail (a retry is
     // only ever recorded for an attempted index), so the concatenation is
@@ -406,7 +481,7 @@ fn visit_header<M: QueryMode>(
     is_retry: bool,
     max_hi: u64,
     mode: &mut M,
-    state: &mut QueryState<'_>,
+    state: &mut QueryState<'_, M::Target>,
     t: u32,
     n_obj: u32,
 ) -> bool {
@@ -463,7 +538,6 @@ fn approach(
     tuner: &Tuner<'_, DsiPacket>,
     log: &ScanLog,
     slot: u32,
-    max_hi: u64,
 ) -> (u64, u64, Pending) {
     let l = air.layout();
     let t = l.hc_index_of_slot(slot);
@@ -481,7 +555,6 @@ fn approach(
             Pending::Visit {
                 slot,
                 include_fresh: true,
-                max_hi,
             },
         )
     }
@@ -504,12 +577,19 @@ fn navigate<M: QueryMode>(
     air: &DsiAir,
     tuner: &mut Tuner<'_, DsiPacket>,
     mode: &mut M,
-    state: &QueryState<'_>,
+    state: &mut QueryState<'_, M::Target>,
     scratch: &mut QueryScratch,
 ) -> Option<Pending> {
     let l = air.layout();
-    let (know, log, retries, rem) = (&state.know, &state.log, &state.retries, state.rem());
-    let max_hi = max_hi_of(rem);
+    let QueryState {
+        know,
+        log,
+        retries,
+        rem,
+        ..
+    } = state;
+    let (know, log, retries) = (&*know, &*log, &*retries);
+    let mut rem = Remainders { rem, mode };
     let QueryScratch {
         entry_targets,
         useful_entries,
@@ -533,65 +613,68 @@ fn navigate<M: QueryMode>(
         nav_plans.push(Pending::Visit {
             slot,
             include_fresh: false,
-            max_hi,
         });
     }
 
     // Entry targets the strategy may pick from: frames not yet fully
     // attempted whose conservative span can still overlap a remainder.
     // Without this filter the aggressive strategy would keep re-picking a
-    // "nearest" frame that has nothing left to offer.
+    // "nearest" frame that has nothing left to offer. Its probes may
+    // settle lazy remainders, so it runs only for a mode that reads it.
     useful_entries.clear();
-    useful_entries.extend(entry_targets.iter().copied().filter(|&(slot, _)| {
-        let t = l.hc_index_of_slot(slot);
-        if fully_attempted(log, t, l.objects_in_slot(slot)) {
-            return false;
-        }
-        let (lb, ub) = know.span_est(t);
-        overlaps_any(rem, lb, ub)
-    }));
+    if rem.mode.reads_entry_targets() {
+        useful_entries.extend(entry_targets.iter().copied().filter(|&(slot, _)| {
+            let t = l.hc_index_of_slot(slot);
+            if fully_attempted(log, t, l.objects_in_slot(slot)) {
+                return false;
+            }
+            let (lb, ub) = know.span_est(t);
+            rem.any_in(lb, ub)
+        }));
+    }
 
-    if !rem.is_empty() {
-        match mode.nav_pick(rem, useful_entries) {
-            NavPick::Slot(slot) => {
-                let (abs, flat, p) = approach(air, tuner, log, slot, max_hi);
+    // With no remainder left the pick and the search find nothing, and
+    // only retries remain to plan.
+    match rem.mode.nav_pick(rem.rem, useful_entries) {
+        NavPick::Slot(slot) => {
+            let (abs, flat, p) = approach(air, tuner, log, slot);
+            nav_flats.push(flat);
+            nav_arrivals.push(abs);
+            nav_plans.push(p);
+        }
+        NavPick::Earliest => {
+            // Single channel: arrivals are monotone in sweep order for
+            // the frames strictly ahead; only the current slot can
+            // arrive later than its successors, so the search keeps
+            // it but stops at the first qualifying successor. With
+            // parallel channels broadcast order no longer orders
+            // arrivals — take every candidate frame and let the batch
+            // planner keep the earliest.
+            let cur = l.slot_of_packet(tuner.flat_pos());
+            let first_only = tuner.program().n_channels() == 1;
+            nav_slots.clear();
+            let examined = sweep_jump(l, know, log, &mut rem, cur, first_only, cursors, nav_slots);
+            hotpath::count_nav_frames(examined);
+            #[cfg(test)]
+            let swept_from = nav_flats.len();
+            for &slot in nav_slots.iter() {
+                let (abs, flat, p) = approach(air, tuner, log, slot);
                 nav_flats.push(flat);
                 nav_arrivals.push(abs);
                 nav_plans.push(p);
             }
-            NavPick::Earliest => {
-                // Single channel: arrivals are monotone in sweep order for
-                // the frames strictly ahead; only the current slot can
-                // arrive later than its successors, so the search keeps
-                // it but stops at the first qualifying successor. With
-                // parallel channels broadcast order no longer orders
-                // arrivals — take every candidate frame and let the batch
-                // planner keep the earliest.
-                let cur = l.slot_of_packet(tuner.flat_pos());
-                let first_only = tuner.program().n_channels() == 1;
-                nav_slots.clear();
-                let examined = sweep_jump(l, know, log, rem, cur, first_only, cursors, nav_slots);
-                hotpath::count_nav_frames(examined);
-                #[cfg(test)]
-                let swept_from = nav_flats.len();
-                for &slot in nav_slots.iter() {
-                    let (abs, flat, p) = approach(air, tuner, log, slot, max_hi);
-                    nav_flats.push(flat);
-                    nav_arrivals.push(abs);
-                    nav_plans.push(p);
-                }
-                #[cfg(test)]
-                audit_sweep(
-                    air,
-                    tuner,
-                    state,
-                    cur,
-                    first_only,
-                    examined,
-                    &nav_flats[swept_from..],
-                    &nav_plans[swept_from..],
-                );
-            }
+            #[cfg(test)]
+            audit_sweep(
+                air,
+                tuner,
+                (know, log),
+                &rem.mode.settled(rem.rem),
+                cur,
+                first_only,
+                examined,
+                &nav_flats[swept_from..],
+                &nav_plans[swept_from..],
+            );
         }
     }
 
@@ -615,7 +698,7 @@ fn navigate<M: QueryMode>(
         // Multi-antenna: run the duration-aware planner instead (top-2
         // conflict costing; one plan can trample the runner-up's airing).
         let (j, _) = tuner.plan_resilient(nav_flats, |j| {
-            plan_duration(l, state, &nav_plans[j], nav_flats[j])
+            plan_duration(l, retries, &nav_plans[j], nav_flats[j])
         })?;
         j
     } else {
@@ -721,29 +804,27 @@ impl BlockCursor {
     }
 
     /// The next position worth examining after frame `t` at position `k`,
-    /// whose span `[lb, ·)` overlaps no remainder; `rem[i]` is the first
-    /// remainder ending at or above `lb`. Frames between two known bounds
-    /// share one span, and spans only grow with the frame index, so:
+    /// whose span `[lb, ·)` overlaps no remainder. Frames between two known
+    /// bounds share one span, and spans only grow with the frame index, so:
     ///
-    /// - ascending, every frame before the safe frame of `rem[i].lo` ends
-    ///   at or below it, and every remainder below `rem[i]` lies below
-    ///   `lb`;
+    /// - ascending, every frame before the safe frame of the first
+    ///   remainder cell at or after `lb` ends at or below that cell;
     /// - descending, every frame from the first frame whose bound lies
-    ///   above `rem[i − 1].hi` on starts above it, and every remainder
-    ///   from `rem[i]` on starts at or above the span's end.
+    ///   above the last remainder cell below `lb` on starts above it, and
+    ///   no remainder cell lies between `lb` and the span's end.
     ///
     /// Returns the block length when nothing further in this direction can
     /// qualify, which ends the current segment.
-    fn skip(&self, know: &Knowledge, rem: &[HcRange], i: usize, t: u32) -> u32 {
+    fn skip(&self, know: &Knowledge, rem: &mut impl LazyRanges, lb: u64, t: u32) -> u32 {
         let len = self.end - self.start;
         if self.desc {
-            match i.checked_sub(1) {
-                Some(j) => (self.end - know.first_frame_above(rem[j].hi).min(t)).min(len),
+            match rem.last_below(lb) {
+                Some(hi) => (self.end - know.first_frame_above(hi).min(t)).min(len),
                 None => len,
             }
         } else {
-            match rem.get(i) {
-                Some(r) => (know.safe_frame_for(r.lo).max(t + 1) - self.start).min(len),
+            match rem.first_from(lb) {
+                Some(lo) => (know.safe_frame_for(lo).max(t + 1) - self.start).min(len),
                 None => len,
             }
         }
@@ -768,7 +849,7 @@ fn sweep_jump(
     l: &DsiLayout,
     know: &Knowledge,
     log: &ScanLog,
-    rem: &[HcRange],
+    rem: &mut impl LazyRanges,
     cur: u32,
     first_only: bool,
     cursors: &mut Vec<BlockCursor>,
@@ -789,9 +870,8 @@ fn sweep_jump(
         examined += 1;
         let (d, t) = (c.d, c.frame(c.k));
         let (lb, ub) = know.span_est(t);
-        let i = rem.partition_point(|r| r.hi < lb);
-        if i == rem.len() || rem[i].lo >= ub {
-            let k = c.skip(know, rem, i, t);
+        if !rem.any_in(lb, ub) {
+            let k = c.skip(know, rem, lb, t);
             c.seek(l, cur, k);
             continue;
         }
@@ -816,7 +896,7 @@ fn sweep_linear(
     l: &DsiLayout,
     know: &Knowledge,
     log: &ScanLog,
-    rem: &[HcRange],
+    mut rem: &[HcRange],
     cur: u32,
     first_only: bool,
     out: &mut Vec<u32>,
@@ -831,7 +911,7 @@ fn sweep_linear(
             continue;
         }
         let (lb, ub) = know.span_est(t);
-        if !overlaps_any(rem, lb, ub) {
+        if !rem.any_in(lb, ub) {
             continue;
         }
         out.push(slot);
@@ -843,28 +923,29 @@ fn sweep_linear(
 }
 
 /// Test-build audit of one navigation search: the candidates the jump
-/// search produced (`flats`, `plans`) must equal the linear sweep's, in
-/// the same order, and it must have examined no more frames.
+/// search produced (`flats`, `plans`) must equal the linear sweep's over
+/// the settled remainders `rem`, in the same order, and it must have
+/// examined no more frames.
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn audit_sweep(
     air: &DsiAir,
     tuner: &Tuner<'_, DsiPacket>,
-    state: &QueryState<'_>,
+    (know, log): (&Knowledge, &ScanLog),
+    rem: &[HcRange],
     cur: u32,
     first_only: bool,
     examined: u64,
     flats: &[u64],
     plans: &[Pending],
 ) {
-    let (know, log, rem) = (&state.know, &state.log, state.rem());
     let mut oracle = Vec::new();
     let oracle_examined = sweep_linear(air.layout(), know, log, rem, cur, first_only, &mut oracle);
     hotpath::count_oracle_nav_frames(oracle_examined);
     let (want_flats, want_plans): (Vec<u64>, Vec<Pending>) = oracle
         .iter()
         .map(|&slot| {
-            let (_, flat, p) = approach(air, tuner, log, slot, max_hi_of(rem));
+            let (_, flat, p) = approach(air, tuner, log, slot);
             (flat, p)
         })
         .unzip();
@@ -883,7 +964,7 @@ fn audit_sweep(
 /// interleaved across channels) this can undershoot wall-clock
 /// occupancy — the top-2 conflict costing it feeds is a heuristic, not
 /// a bound.
-fn plan_duration(l: &DsiLayout, state: &QueryState<'_>, p: &Pending, flat: u64) -> u64 {
+fn plan_duration(l: &DsiLayout, retries: &Retries, p: &Pending, flat: u64) -> u64 {
     let f = l.framing();
     match *p {
         Pending::Table(_) => f.table_packets as u64,
@@ -899,7 +980,7 @@ fn plan_duration(l: &DsiLayout, state: &QueryState<'_>, p: &Pending, flat: u64) 
                 (l.frame_start(slot) + frame_len).saturating_sub(flat)
             } else {
                 // Retry-only visit: first to last pending header.
-                let idxs = state.retries.for_slot(slot);
+                let idxs = retries.for_slot(slot);
                 match idxs.last() {
                     Some(&last) => l.header_packet(slot, last) + f.object_packets as u64 - flat,
                     None => f.object_packets as u64,
@@ -970,7 +1051,16 @@ mod tests {
         for cur in 0..l.n_frames() {
             for first_only in [true, false] {
                 let (mut got, mut want) = (Vec::new(), Vec::new());
-                let j = sweep_jump(l, know, log, rem, cur, first_only, &mut cursors, &mut got);
+                let j = sweep_jump(
+                    l,
+                    know,
+                    log,
+                    &mut &rem[..],
+                    cur,
+                    first_only,
+                    &mut cursors,
+                    &mut got,
+                );
                 let o = sweep_linear(l, know, log, rem, cur, first_only, &mut want);
                 assert_eq!(got, want, "cur {cur}, first_only {first_only}, rem {rem:?}");
                 assert!(j <= o, "cur {cur}: jump examined {j} frames, sweep {o}");

@@ -14,27 +14,31 @@ use dsi_hilbert::HcRange;
 
 use crate::build::{DsiAir, DsiPacket};
 use crate::client::{run_query, QueryMode, TargetsChange};
-use crate::state::Knowledge;
 
 struct EefMode {
-    target: u64,
+    /// The single HC value sought, as a one-cell range.
+    target: HcRange,
     published: bool,
     found: Option<Object>,
 }
 
 impl QueryMode for EefMode {
-    fn refresh_targets(&mut self, _know: &Knowledge, out: &mut Vec<HcRange>) -> TargetsChange {
+    type Target = HcRange;
+
+    fn refresh_targets(&mut self) -> TargetsChange {
         if self.published {
             return TargetsChange::Unchanged;
         }
         self.published = true;
-        out.clear();
-        out.push(HcRange::new(self.target, self.target));
         TargetsChange::Replaced
     }
 
+    fn targets(&self) -> &[HcRange] {
+        std::slice::from_ref(&self.target)
+    }
+
     fn on_header(&mut self, o: &Object) -> bool {
-        o.hc == self.target
+        o.hc == self.target.lo
     }
 
     fn on_retrieved(&mut self, o: &Object) {
@@ -54,7 +58,7 @@ impl DsiAir {
     /// Point query by HC value (the paper's EEF primitive).
     pub fn point_query_hc(&self, tuner: &mut Tuner<'_, DsiPacket>, hc: u64) -> Option<Object> {
         let mut mode = EefMode {
-            target: hc,
+            target: HcRange::new(hc, hc),
             published: false,
             found: None,
         };

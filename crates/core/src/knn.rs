@@ -11,17 +11,20 @@
 //! is farther than the k-th candidate.
 //!
 //! The search space is decomposed **as a circle**, not as its bounding
-//! square: the `dsi_hilbert` circle kernel prunes quadrants outside the
-//! circle during the descent, and every produced range carries its
-//! exact distance bounds. Because the circle only shrinks, a radius
-//! tightening *narrows* the existing target set
-//! ([`narrow_ranges_to_circle_into`]: drop ranges now provably outside,
-//! copy ranges still provably inside, re-split only boundary ranges)
-//! instead of re-decomposing the world — and the driver intersects its
-//! remainders with the narrowed targets in place
-//! ([`TargetsChange::Narrowed`]). Range distances live on the ranges
-//! themselves, so no side cache of interval distances exists to grow
-//! without bound under loss.
+//! square, and **lazily** ([`LazyCircle`]): every target carries exact
+//! distance bounds, and because the circle only shrinks, a radius
+//! tightening keeps or drops whole targets in one pass — a target left
+//! straddling the smaller circle stays unsplit, a rim block split only
+//! when a remainder probe of the driver reaches it (most are cleared or
+//! dropped by a later shrink first). The driver reads the targets by
+//! reference and intersects its remainders with them in place
+//! ([`TargetsChange::Narrowed`]); each remainder carries the bounds of the
+//! target it lies in, so splitting one target refines just the
+//! remainders inside it. Settled pieces equal the direct decomposition's
+//! ranges, bounds included, so every decision is the one an eagerly split
+//! circle would make. Range distances live on the ranges themselves, so
+//! no side cache of interval distances exists to grow without bound under
+//! loss.
 //!
 //! Two navigation strategies from the paper:
 //!
@@ -40,11 +43,13 @@ use std::collections::BTreeMap;
 use dsi_broadcast::Tuner;
 use dsi_datagen::Object;
 use dsi_geom::{dist2, GridMapper, Point};
-use dsi_hilbert::{narrow_ranges_to_circle_into, DistRange, HcRange, HilbertCurve};
+#[cfg(test)]
+use dsi_hilbert::{ranges_in_circle_with_dist_into, LazyRanges};
+use dsi_hilbert::{DistRange, HcRange, HilbertCurve, LazyCircle, Reach};
 
 use crate::build::{DsiAir, DsiPacket};
 use crate::client::{run_query, NavPick, QueryMode, TargetsChange};
-use crate::state::Knowledge;
+use crate::state::intersect_ranges_into;
 
 /// kNN search-space navigation strategy (paper §3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,22 +61,31 @@ pub enum KnnStrategy {
 }
 
 /// Peak-memory and decomposition counters of one kNN query, for the
-/// bounded-memory property tests. Not part of the public API surface.
+/// bounded-memory property tests and the benchmark's work counts. Not
+/// part of the public API surface.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KnnProbe {
-    /// Largest number of annotated ranges *held* at any one time — the
-    /// current decomposition plus the narrowing swap buffer. This is the
-    /// quantity that must stay flat across shrinks: a reintroduced
-    /// accumulate-forever structure would drive it toward
-    /// [`KnnProbe::total_ranges`].
+    /// Largest number of target entries *held* at any one time, an
+    /// unsplit rim block counting as one. Every held entry is a range of
+    /// the direct decomposition at the published radius or an unsplit
+    /// block holding at least one (the unsplit whole space excepted), so
+    /// this stays within one decomposition across shrinks, however many:
+    /// a reintroduced accumulate-forever structure would push it past.
     pub peak_live_ranges: usize,
-    /// Largest single target decomposition.
-    pub largest_refresh: usize,
-    /// Ranges produced across all decompositions — what a never-evicted
-    /// per-interval distance cache would have accumulated.
+    /// The published squared radius while [`KnnProbe::peak_live_ranges`]
+    /// entries were held: the circle whose direct decomposition bounds
+    /// the peak.
+    pub peak_live_r2: f64,
+    /// Target entries held right after each refresh, summed, an unsplit
+    /// block counting as one — what a never-evicted per-interval distance
+    /// cache would have accumulated.
     pub total_ranges: usize,
-    /// Number of target rebuilds (circle shrinks reaching the driver).
+    /// Circle blocks visited by every descent of the query: a refresh
+    /// descends nothing, a split of a rim block descends from that block.
+    /// The circle's whole decomposition work, as a deterministic count.
+    pub descent_blocks: u64,
+    /// Number of target refreshes (circle shrinks reaching the driver).
     pub refreshes: usize,
     /// Largest candidate-set size.
     pub peak_cands: usize,
@@ -265,18 +279,20 @@ impl Candidates {
     }
 }
 
-/// Re-decompose the search space only when the squared radius has dropped
-/// below this fraction of the radius the targets were published for.
+/// Republish the targets only when the squared radius has dropped below
+/// this fraction of the radius they were published for.
 ///
-/// The radius tightens dozens of times per query, mostly by slivers;
-/// re-deriving the rim of a ~2,000-range decomposition for every sliver
-/// dominated kNN CPU time. Keeping the published targets — always a
-/// correct *superset* of the true circle — until the radius has shrunk
-/// materially trades a bounded, transient over-coverage for a multiplied
-/// refresh cost: at 0.7 the measured extra air cost is ≈0.1% of tuning
-/// bytes while client throughput more than doubles. Correctness is
-/// unaffected (the extra rim is cleared or out-scanned like any target),
-/// and every published set is still an exact circle decomposition.
+/// The radius tightens dozens of times per query, mostly by slivers. Each
+/// publication costs a pass over the targets and the remainders, and it
+/// fixes the circle the navigator chases; keeping the published targets —
+/// always a correct *superset* of the true circle — until the radius has
+/// shrunk materially trades a bounded, transient over-coverage for fewer
+/// passes. The value sets which circles are published, and so the air
+/// cost: at 0.7 it was measured at ≈0.1% of tuning bytes over
+/// republishing on every shrink, back when each publication re-split the
+/// whole rim eagerly. Correctness is unaffected (the extra rim is cleared
+/// or out-scanned like any target), and every published set settles to an
+/// exact circle decomposition.
 const REFRESH_HYSTERESIS: f64 = 0.7;
 
 struct KnnMode {
@@ -285,17 +301,15 @@ struct KnnMode {
     mapper: GridMapper,
     strategy: KnnStrategy,
     cands: Candidates,
-    /// Radius the driver-held target set was computed for; targets are
-    /// narrowed (in place) only when the circle shrinks.
-    targets_r2: f64,
+    /// The targets: the search circle at the radius last published,
+    /// decomposed lazily, with exact distance bounds on every entry.
+    /// Remainder liveness reads distances off the entries — there is no
+    /// unbounded side cache of interval distances.
+    circle: LazyCircle,
     /// Whether the initial target set has been published.
     published: bool,
-    /// The current target decomposition with exact distance bounds,
-    /// sorted by HC. Remainder liveness reads distances straight off this
-    /// list — there is no unbounded side cache of interval distances.
-    targets: Vec<DistRange>,
-    /// Swap buffer for narrowing the targets between shrinks.
-    narrow_buf: Vec<DistRange>,
+    /// Scratch for the remainders inside one split target.
+    rem_buf: Vec<DistRange>,
     /// Scratch for one table's batched `(hc, ub2)` offers.
     offer_buf: Vec<(u64, f64)>,
     /// Scratch for the aggressive strategy's sorted entry bounds.
@@ -311,84 +325,167 @@ impl KnnMode {
             mapper: *air.mapper(),
             strategy,
             cands: Candidates::new(k),
-            targets_r2: f64::INFINITY,
+            circle: LazyCircle::new(air.curve(), air.mapper(), q),
             published: false,
-            targets: Vec::new(),
-            narrow_buf: Vec::new(),
+            rem_buf: Vec::new(),
             offer_buf: Vec::new(),
             nav_bounds: Vec::new(),
             probe: KnnProbe::default(),
         }
     }
 
-    /// Exact lower bound on the distance of remainder `r`: the distance of
-    /// the published target range containing it. Remainders are derived
-    /// from the targets by subtraction and intersection, so each lies
-    /// inside exactly one target range; the parent's minimum is a valid
-    /// (and for whole-target remainders exact) bound.
-    fn target_min_d2(&self, r: &HcRange) -> f64 {
-        let i = self.targets.partition_point(|t| t.range.hi < r.lo);
-        match self.targets.get(i) {
-            Some(t) if t.range.lo <= r.lo => {
-                debug_assert!(r.hi <= t.range.hi, "remainder {r:?} straddles targets");
-                t.min_d2
-            }
-            // Not under any published target (only reachable before the
-            // first publication): conservatively live.
-            _ => 0.0,
+    /// Records the held target count in the probe's peak.
+    fn note_held(&mut self) {
+        let held = self.circle.entries().len();
+        if held > self.probe.peak_live_ranges {
+            self.probe.peak_live_ranges = held;
+            self.probe.peak_live_r2 = self.circle.r2();
         }
+    }
+
+    /// Whether a remainder cell in `[lo, hi)` is live: it lies in a target
+    /// range — a maximal run of circle cells at the published radius —
+    /// whose nearest cell is within `r2`. Refines what it reads.
+    fn live_in(&mut self, rem: &mut Vec<DistRange>, lo: u64, hi: u64, r2: f64) -> bool {
+        let mut x = lo;
+        loop {
+            let i = rem.partition_point(|r| r.range.hi < x);
+            if i == rem.len() || rem[i].range.lo >= hi {
+                return false;
+            }
+            if self.settle(rem, i, Reach::From(x)) {
+                continue;
+            }
+            let r = rem[i].range;
+            if self.run_min_d2(rem, r.lo.max(x)) <= r2 {
+                return true;
+            }
+            x = r.hi + 1;
+        }
+    }
+
+    /// The exact minimum distance of the target range holding circle cell
+    /// `c`: the minimum over the run of adjacent exact blocks around it,
+    /// lazy neighbours at the run's ends refined until a gap shows.
+    fn run_min_d2(&mut self, rem: &mut Vec<DistRange>, c: u64) -> f64 {
+        let j = self.circle.entries().partition_point(|t| t.range.hi < c);
+        let block = self.circle.entries()[j];
+        debug_assert!(block.range.contains(c) && !self.circle.is_lazy(&block));
+        let (mut min_d2, mut lo, mut hi) = (block.min_d2, block.range.lo, block.range.hi);
+        while lo > 0 {
+            let k = self
+                .circle
+                .entries()
+                .partition_point(|t| t.range.hi < lo - 1);
+            match self.circle.entries().get(k) {
+                Some(t) if t.range.lo < lo => {
+                    let t = *t;
+                    if self.circle.is_lazy(&t) {
+                        let part = HcRange::new(t.range.lo, lo - 1);
+                        refine_target(&mut self.circle, rem, k, part, true, &mut self.rem_buf);
+                    } else {
+                        min_d2 = min_d2.min(t.min_d2);
+                        lo = t.range.lo;
+                    }
+                }
+                _ => break,
+            }
+        }
+        while hi < self.curve.max_d() {
+            let k = self.circle.entries().partition_point(|t| t.range.hi <= hi);
+            match self.circle.entries().get(k) {
+                Some(t) if t.range.lo == hi + 1 => {
+                    let t = *t;
+                    if self.circle.is_lazy(&t) {
+                        let part = t.range;
+                        refine_target(&mut self.circle, rem, k, part, false, &mut self.rem_buf);
+                    } else {
+                        min_d2 = min_d2.min(t.min_d2);
+                        hi = t.range.hi;
+                    }
+                }
+                _ => break,
+            }
+        }
+        self.note_held();
+        min_d2
     }
 }
 
+/// Settles remainder `rem[i]` where `reach` reads it, if it is lazy: see
+/// [`refine_target`]. Returns whether anything changed.
+fn settle_rem(
+    circle: &mut LazyCircle,
+    rem: &mut Vec<DistRange>,
+    i: usize,
+    reach: Reach,
+    buf: &mut Vec<DistRange>,
+) -> bool {
+    if !circle.is_lazy(&rem[i]) {
+        return false;
+    }
+    let (part, last) = reach.clip(rem[i].range);
+    let p = circle.entries().partition_point(|t| t.range.hi < part.lo);
+    refine_target(circle, rem, p, part, last, buf);
+    true
+}
+
+/// Refines lazy target block `p` toward the first (or `last`) circle cell
+/// of `part` ([`LazyCircle::refine`]) and re-derives the remainders inside
+/// the block: their intersection with its parts, whose bounds they then
+/// carry.
+fn refine_target(
+    circle: &mut LazyCircle,
+    rem: &mut Vec<DistRange>,
+    p: usize,
+    part: HcRange,
+    last: bool,
+    buf: &mut Vec<DistRange>,
+) {
+    let block = circle.entries()[p].range;
+    debug_assert!(block.lo <= part.lo && part.hi <= block.hi);
+    let parts = circle.refine(p, part, last);
+    let j0 = rem.partition_point(|e| e.range.hi < block.lo);
+    let j1 = rem.partition_point(|e| e.range.lo <= block.hi);
+    intersect_ranges_into(&rem[j0..j1], &circle.entries()[parts], buf);
+    rem.splice(j0..j1, buf.drain(..));
+}
+
 impl QueryMode for KnnMode {
-    fn refresh_targets(&mut self, _know: &Knowledge, out: &mut Vec<HcRange>) -> TargetsChange {
+    type Target = DistRange;
+
+    fn refresh_targets(&mut self) -> TargetsChange {
         let r2 = self.cands.r2();
-        if self.published && r2 >= self.targets_r2 * REFRESH_HYSTERESIS {
-            return TargetsChange::Unchanged;
-        }
-        let change = if self.published {
-            // The circle only shrinks, so the rebuilt targets cover a
-            // subset of the previous ones: the driver may intersect its
-            // remainders in place.
-            TargetsChange::Narrowed
-        } else {
+        let change = if !self.published {
+            // Fewer than k candidates may be known: the whole space is in
+            // play, and the circle starts as one unsplit entry.
             TargetsChange::Replaced
+        } else if r2 >= self.circle.r2() * REFRESH_HYSTERESIS {
+            return TargetsChange::Unchanged;
+        } else {
+            // The circle only shrinks: narrowing keeps or drops whole
+            // targets, so the driver may intersect its remainders in
+            // place.
+            TargetsChange::Narrowed
         };
-        if !self.published {
-            // Fewer than k candidates known: the whole space is in play.
-            // Seeding it as one synthetic range (min 0, max ∞) makes the
-            // first finite radius a plain narrowing of it.
-            self.targets.clear();
-            self.targets.push(DistRange {
-                range: HcRange::new(0, self.curve.max_d()),
-                min_d2: 0.0,
-                max_min_d2: f64::INFINITY,
-            });
-        }
         self.published = true;
-        self.targets_r2 = r2;
-        if r2.is_finite() {
-            narrow_ranges_to_circle_into(
-                &self.curve,
-                &self.mapper,
-                self.q,
-                r2,
-                &self.targets,
-                &mut self.narrow_buf,
-            );
-            std::mem::swap(&mut self.targets, &mut self.narrow_buf);
-        }
+        self.circle.narrow(r2);
         self.probe.refreshes += 1;
-        self.probe.total_ranges += self.targets.len();
-        self.probe.largest_refresh = self.probe.largest_refresh.max(self.targets.len());
-        self.probe.peak_live_ranges = self
-            .probe
-            .peak_live_ranges
-            .max(self.targets.len() + self.narrow_buf.len());
-        out.clear();
-        out.reserve(self.targets.len());
-        out.extend(self.targets.iter().map(|t| t.range));
+        self.probe.total_ranges += self.circle.entries().len();
+        self.note_held();
         change
+    }
+
+    fn targets(&self) -> &[DistRange] {
+        self.circle.entries()
+    }
+
+    fn settle(&mut self, rem: &mut Vec<DistRange>, i: usize, reach: Reach) -> bool {
+        if !settle_rem(&mut self.circle, rem, i, reach, &mut self.rem_buf) {
+            return false;
+        }
+        self.note_held();
+        true
     }
 
     fn on_virtuals(&mut self, hcs: &[u64]) {
@@ -421,7 +518,11 @@ impl QueryMode for KnnMode {
         self.cands.top_k_retrieved()
     }
 
-    fn nav_pick(&mut self, rem: &[HcRange], entry_targets: &[(u32, u64)]) -> NavPick {
+    fn reads_entry_targets(&self) -> bool {
+        self.strategy == KnnStrategy::Aggressive
+    }
+
+    fn nav_pick(&mut self, rem: &mut Vec<DistRange>, entry_targets: &[(u32, u64)]) -> NavPick {
         match self.strategy {
             KnnStrategy::Conservative => NavPick::Earliest,
             KnnStrategy::Aggressive => {
@@ -445,16 +546,7 @@ impl QueryMode for KnnMode {
                         i if i < self.nav_bounds.len() => self.nav_bounds[i],
                         _ => u64::MAX,
                     };
-                    let mut i = rem.partition_point(|r| r.hi < hc);
-                    let mut live = false;
-                    while i < rem.len() && rem[i].lo < next {
-                        if self.target_min_d2(&rem[i]) <= r2 {
-                            live = true;
-                            break;
-                        }
-                        i += 1;
-                    }
-                    if !live {
+                    if !self.live_in(rem, hc, next, r2) {
                         continue;
                     }
                     let d2 = self.mapper.cell_rect(self.curve.d2xy(hc)).min_dist2(self.q);
@@ -468,6 +560,52 @@ impl QueryMode for KnnMode {
                 }
             }
         }
+    }
+
+    /// The direct decomposition at the published radius. The held blocks
+    /// must settle to it, bounds included, and never outnumber its blocks:
+    /// each held block is one of them or holds one.
+    #[cfg(test)]
+    fn audit_targets(&self) -> Vec<HcRange> {
+        let mut direct = Vec::new();
+        let r2 = self.circle.r2();
+        ranges_in_circle_with_dist_into(&self.curve, &self.mapper, self.q, r2, &mut direct);
+        let mut settled = self.circle.clone();
+        settled.settle_all();
+        assert!(
+            self.circle.entries().len() <= settled.entries().len(),
+            "{} blocks held for a decomposition of {}",
+            self.circle.entries().len(),
+            settled.entries().len()
+        );
+        let mut merged: Vec<DistRange> = Vec::new();
+        for &e in settled.entries() {
+            match merged.last_mut() {
+                Some(m) if m.range.hi + 1 == e.range.lo => {
+                    m.range.hi = e.range.hi;
+                    m.min_d2 = m.min_d2.min(e.min_d2);
+                    m.max_min_d2 = m.max_min_d2.max(e.max_min_d2);
+                }
+                _ => merged.push(e),
+            }
+        }
+        assert_eq!(merged, direct, "the targets settle to another circle");
+        direct.iter().map(|d| d.range).collect()
+    }
+
+    #[cfg(test)]
+    fn settled(&self, rem: &[DistRange]) -> Vec<HcRange> {
+        let (mut circle, mut rem, mut buf) = (self.circle.clone(), rem.to_vec(), Vec::new());
+        let mut i = 0;
+        while i < rem.len() {
+            let lo = rem[i].range.lo;
+            if !settle_rem(&mut circle, &mut rem, i, Reach::From(lo), &mut buf) {
+                i += 1;
+            }
+        }
+        let mut out: Vec<HcRange> = rem.iter().map(|r| r.range).collect();
+        dsi_hilbert::merge_ranges(&mut out);
+        out
     }
 }
 
@@ -500,6 +638,7 @@ impl DsiAir {
         }
         let mut mode = KnnMode::new(self, q, k, strategy);
         run_query(self, tuner, &mut mode);
+        mode.probe.descent_blocks = mode.circle.descent_blocks();
         (mode.cands.result_ids(), mode.probe)
     }
 }
@@ -595,6 +734,7 @@ mod tests {
     use crate::config::{DsiConfig, FramingPolicy};
     use dsi_broadcast::LossModel;
     use dsi_datagen::{knn_points, uniform, SpatialDataset};
+    use dsi_hilbert::{HcSpan, LazyRanges};
 
     fn check_knn(cfg: DsiConfig, strategy: KnnStrategy, n: usize, order: u8, ks: &[usize]) {
         let ds = SpatialDataset::build(&uniform(n, 31), order);
@@ -731,24 +871,32 @@ mod tests {
         let q = Point::new(0.05, 0.05); // in the cell of HC 0 (order 4)
         let mut mode = KnnMode::new(&air, q, 2, KnnStrategy::Aggressive);
 
-        // Rig a finite, moderate radius and publish the circle targets.
+        // Rig a finite, moderate radius, publish the circle targets and
+        // split them all.
         mode.cands.offer_virtuals(&[(0, 0.09), (1, 0.1)]);
         assert!(mode.cands.r2().is_finite());
-        let mut out = Vec::new();
-        let change =
-            mode.refresh_targets(&Knowledge::new(air.layout(), air.curve().max_d()), &mut out);
-        assert_eq!(change, TargetsChange::Replaced);
-        assert!(!out.is_empty());
+        assert_eq!(mode.refresh_targets(), TargetsChange::Replaced);
+        let mut all = mode.targets().to_vec();
+        let mut i = 0;
+        while i < all.len() {
+            let lo = all[i].range.lo;
+            if !mode.settle(&mut all, i, Reach::From(lo)) {
+                i += 1;
+            }
+        }
+        assert!(!all.is_empty());
+        assert_eq!(mode.targets(), &all[..]);
 
         // The only remainder left is the tail of the last target range.
         // Entry B points at the query's own cell (HC 0 — distance 0, the
         // nearest frame by far) but its region [0, m) holds no remainder;
         // entry A's region [m, ∞) holds the live one.
-        let m = out.last().unwrap().hi;
+        let last = *all.last().unwrap();
+        let m = last.range.hi;
         assert!(m > 0);
-        let rem = vec![HcRange::new(m, m)];
+        let mut rem = vec![last.with_range(HcRange::new(m, m))];
         let entries = vec![(7u32, m), (3u32, 0u64)];
-        match mode.nav_pick(&rem, &entries) {
+        match mode.nav_pick(&mut rem, &entries) {
             NavPick::Slot(slot) => assert_eq!(slot, 7, "picked an entry with no live target"),
             NavPick::Earliest => panic!("a live entry existed"),
         }
@@ -756,17 +904,21 @@ mod tests {
         // With no live remainder in any entry's region the pick falls back
         // to the conservative sweep instead of a wasted jump.
         let far_only = vec![(7u32, m)];
-        let rem_outside = vec![HcRange::new(1, 1)];
+        let mut rem_outside = vec![DistRange {
+            range: HcRange::new(1, 1),
+            min_d2: 0.0,
+            max_min_d2: 0.0,
+        }];
         assert!(matches!(
-            mode.nav_pick(&rem_outside, &far_only),
+            mode.nav_pick(&mut rem_outside, &far_only),
             NavPick::Earliest
         ));
     }
 
-    /// The probe shows the narrowing path holds at most two decompositions
-    /// (current + swap buffer) at a time even across many shrinks, while
-    /// the epochs together produced far more — the quantity a
-    /// never-evicted cache would have retained.
+    /// The probe's counts on a query with many shrinks: refreshes descend
+    /// nothing, and the rim stays unsplit where no probe reached it. An
+    /// eagerly split rim would hold every block of the direct
+    /// decomposition after the last refresh, and fail here.
     #[test]
     fn probe_reports_bounded_targets() {
         let ds = SpatialDataset::build(&uniform(500, 11), 9);
@@ -776,10 +928,26 @@ mod tests {
         let (got, probe) = air.knn_query_probed(&mut tuner, q, 10, KnnStrategy::Conservative);
         assert_eq!(got, ds.brute_knn(q, 10));
         assert!(probe.refreshes >= 3, "expected several circle shrinks");
-        assert!(
-            probe.total_ranges > probe.peak_live_ranges,
-            "held ranges must not accumulate across epochs"
-        );
         assert!(probe.peak_cands <= 500);
+
+        // The same query again, keeping the mode to look inside.
+        let mut tuner = Tuner::tune_in(air.program(), 29, LossModel::None, 5);
+        let mut mode = KnnMode::new(&air, q, 10, KnnStrategy::Conservative);
+        run_query(&air, &mut tuner, &mut mode);
+        assert_eq!(probe.descent_blocks, mode.circle.descent_blocks());
+        assert!(probe.descent_blocks > 0, "no probe ever refined a block");
+        let held = mode.circle.entries();
+        assert!(
+            held.iter().any(|e| mode.circle.is_lazy(e)),
+            "every rim block was split"
+        );
+        let mut eager = mode.circle.clone();
+        eager.settle_all();
+        assert!(
+            held.len() < eager.entries().len(),
+            "{} blocks held, {} in the decomposition",
+            held.len(),
+            eager.entries().len()
+        );
     }
 }

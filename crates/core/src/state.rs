@@ -30,8 +30,10 @@
 // dsi-lint: allow(hash): scan-log lookups only; reads are per-slot, never iterated for output
 use std::collections::HashMap;
 
-use dsi_hilbert::HcRange;
+use dsi_hilbert::{HcRange, HcSpan};
 
+#[cfg(test)]
+use crate::client::QueryMode;
 use crate::client::TargetsChange;
 use crate::hotpath;
 use crate::layout::DsiLayout;
@@ -463,15 +465,17 @@ pub(crate) fn cleared_regions(log: &ScanLog, know: &Knowledge, layout: &DsiLayou
 }
 
 /// `targets − cleared` into a caller-provided buffer (cleared first). Both
-/// input lists must be sorted and disjoint; the result is too.
-pub(crate) fn subtract_ranges_into(
-    targets: &[HcRange],
+/// input lists must be sorted and disjoint; the result is too, and each
+/// piece keeps the tag of the target it came from.
+pub(crate) fn subtract_ranges_into<T: HcSpan>(
+    targets: &[T],
     cleared: &[HcRange],
-    out: &mut Vec<HcRange>,
+    out: &mut Vec<T>,
 ) {
     out.clear();
     let mut ci = 0usize;
-    for &t in targets {
+    for &tag in targets {
+        let t = tag.range();
         let mut lo = t.lo;
         // Skip cleared intervals entirely below.
         while ci < cleared.len() && cleared[ci].hi < lo {
@@ -480,12 +484,12 @@ pub(crate) fn subtract_ranges_into(
         let mut cj = ci;
         while lo <= t.hi {
             if cj >= cleared.len() || cleared[cj].lo > t.hi {
-                out.push(HcRange::new(lo, t.hi));
+                out.push(tag.with_range(HcRange::new(lo, t.hi)));
                 break;
             }
             let c = cleared[cj];
             if c.lo > lo {
-                out.push(HcRange::new(lo, c.lo - 1));
+                out.push(tag.with_range(HcRange::new(lo, c.lo - 1)));
             }
             if c.hi >= t.hi {
                 break;
@@ -498,28 +502,31 @@ pub(crate) fn subtract_ranges_into(
 
 /// `targets − cleared` as a fresh Vec (oracle-side convenience).
 #[cfg(test)]
-pub(crate) fn subtract_ranges(targets: &[HcRange], cleared: &[HcRange]) -> Vec<HcRange> {
+pub(crate) fn subtract_ranges<T: HcSpan>(targets: &[T], cleared: &[HcRange]) -> Vec<T> {
     let mut out = Vec::new();
     subtract_ranges_into(targets, cleared, &mut out);
     out
 }
 
-/// `a ∩ b` into a caller-provided buffer (cleared first). Both inputs must
-/// be sorted, disjoint and non-adjacent; the result is too. This is the
-/// remainder-narrowing kernel: when a mode reports its new targets are a
-/// subset of the old ([`TargetsChange::Narrowed`]), the new remainders are
-/// exactly `old remainders ∩ new targets` — no cleared-set subtraction
-/// needed.
-pub(crate) fn intersect_ranges_into(a: &[HcRange], b: &[HcRange], out: &mut Vec<HcRange>) {
+/// `a ∩ b` into a caller-provided buffer (cleared first); each piece
+/// carries the tag of its `b` range. Both inputs must be sorted, disjoint
+/// and non-adjacent; the result is too. This is the remainder-narrowing
+/// kernel: when a mode reports its new targets are a subset of the old
+/// ([`TargetsChange::Narrowed`]), the new remainders are exactly
+/// `old remainders ∩ new targets` — no cleared-set subtraction needed.
+/// The kNN mode also refines the remainders under a target it just split
+/// with it.
+pub(crate) fn intersect_ranges_into<T: HcSpan>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.clear();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        let lo = a[i].lo.max(b[j].lo);
-        let hi = a[i].hi.min(b[j].hi);
+        let (ra, rb) = (a[i].range(), b[j].range());
+        let lo = ra.lo.max(rb.lo);
+        let hi = ra.hi.min(rb.hi);
         if lo <= hi {
-            out.push(HcRange::new(lo, hi));
+            out.push(b[j].with_range(HcRange::new(lo, hi)));
         }
-        if a[i].hi < b[j].hi {
+        if ra.hi < rb.hi {
             i += 1;
         } else {
             j += 1;
@@ -528,21 +535,25 @@ pub(crate) fn intersect_ranges_into(a: &[HcRange], b: &[HcRange], out: &mut Vec<
 }
 
 /// Removes the single cleared interval `c` from the sorted disjoint
-/// remainder list, in place. At most one range is split in two; all other
-/// affected ranges shrink or vanish, so no allocation happens unless the
-/// list must grow past its capacity (amortized across the query).
-pub(crate) fn subtract_range_in_place(rem: &mut Vec<HcRange>, c: HcRange) {
-    let start = rem.partition_point(|t| t.hi < c.lo);
+/// remainder list, in place; surviving pieces keep their tags. At most one
+/// range is split in two; all other affected ranges shrink or vanish, so
+/// no allocation happens unless the list must grow past its capacity
+/// (amortized across the query).
+pub(crate) fn subtract_range_in_place<T: HcSpan>(rem: &mut Vec<T>, c: HcRange) {
+    let start = rem.partition_point(|t| t.range().hi < c.lo);
     let mut end = start;
-    while end < rem.len() && rem[end].lo <= c.hi {
+    while end < rem.len() && rem[end].range().lo <= c.hi {
         end += 1;
     }
     if start == end {
         return;
     }
-    let left = (rem[start].lo < c.lo).then(|| HcRange::new(rem[start].lo, c.lo - 1));
+    let first = rem[start];
+    let left = (first.range().lo < c.lo)
+        .then(|| first.with_range(HcRange::new(first.range().lo, c.lo - 1)));
     let last = rem[end - 1];
-    let right = (last.hi > c.hi).then(|| HcRange::new(c.hi + 1, last.hi));
+    let right =
+        (last.range().hi > c.hi).then(|| last.with_range(HcRange::new(c.hi + 1, last.range().hi)));
     match (left, right) {
         (Some(l), Some(r)) => {
             rem[start] = l;
@@ -568,28 +579,29 @@ pub(crate) fn subtract_range_in_place(rem: &mut Vec<HcRange>, c: HcRange) {
 }
 
 /// The query driver's aggregate state, with incremental cleared/remainder
-/// maintenance.
+/// maintenance, over the mode's target entry type `T`.
 ///
 /// Invariant (checked against the oracle in the test build): after every
-/// applied event, `cleared` equals `cleared_regions` of the
-/// current scan log and knowledge, and `rem` equals
-/// `targets − cleared` minus ranges the mode declared dead.
-pub(crate) struct QueryState<'l> {
+/// applied event, `cleared` equals `cleared_regions` of the current scan
+/// log and knowledge, and `rem`, with every lazy entry settled, equals
+/// `targets − cleared` for the mode's exact targets.
+pub(crate) struct QueryState<'l, T> {
     layout: &'l DsiLayout,
     pub know: Knowledge,
     pub log: ScanLog,
     pub retries: Retries,
     cleared: ClearedSet,
-    /// Current target intervals (sorted, disjoint), owned here so modes
-    /// rebuild in place without allocating per iteration.
-    targets: Vec<HcRange>,
-    /// `targets − cleared`; maintained incrementally.
-    rem: Vec<HcRange>,
+    /// `targets − cleared`, maintained incrementally; the targets
+    /// themselves stay with the mode. Each entry keeps the tag of the
+    /// target it lies in. Besides the deltas here, only a mode settling a
+    /// lazy entry rewrites it, replacing entries by the exact pieces they
+    /// stand for.
+    pub rem: Vec<T>,
     /// Swap buffer for in-place remainder narrowing.
-    rem_scratch: Vec<HcRange>,
+    rem_scratch: Vec<T>,
 }
 
-impl<'l> QueryState<'l> {
+impl<'l, T: HcSpan> QueryState<'l, T> {
     pub fn new(layout: &'l DsiLayout, max_hc: u64) -> Self {
         let know = Knowledge::new(layout, max_hc);
         let mut cleared = ClearedSet::default();
@@ -602,15 +614,9 @@ impl<'l> QueryState<'l> {
             log: ScanLog::new(),
             retries: Retries::new(),
             cleared,
-            targets: Vec::new(),
             rem: Vec::new(),
             rem_scratch: Vec::new(),
         }
-    }
-
-    /// The intervals the query has not accounted for yet.
-    pub fn rem(&self) -> &[HcRange] {
-        &self.rem
     }
 
     /// Records a learned frame bound and propagates the delta: a new bound
@@ -670,33 +676,25 @@ impl<'l> QueryState<'l> {
         self.audit_cleared();
     }
 
-    /// Gives the mode a chance to rebuild its target set (in place, into
-    /// the state-owned buffer); rebuilds the remainders when it did. A
+    /// Re-derives the remainders after the mode reported `change` to its
+    /// targets, read by reference from the mode. A
     /// [`TargetsChange::Narrowed`] report takes the fast path: the new
-    /// remainders are the old ones intersected with the new targets
-    /// (dead ranges previously dropped by liveness lie outside the shrunk
-    /// target set, so the intersection re-derives exactly
-    /// `targets − cleared` without touching the cleared set).
-    pub fn refresh_targets(
-        &mut self,
-        refresh: impl FnOnce(&Knowledge, &mut Vec<HcRange>) -> TargetsChange,
-    ) {
-        match refresh(&self.know, &mut self.targets) {
+    /// remainders are the old ones intersected with the new targets (the
+    /// shrunk target set keeps or drops whole targets, so the
+    /// intersection re-derives exactly `targets − cleared` without
+    /// touching the cleared set).
+    pub fn refresh_targets(&mut self, change: TargetsChange, targets: &[T]) {
+        match change {
             TargetsChange::Unchanged => {}
             TargetsChange::Replaced => {
-                subtract_ranges_into(&self.targets, self.cleared.as_slice(), &mut self.rem);
+                subtract_ranges_into(targets, self.cleared.as_slice(), &mut self.rem);
             }
             TargetsChange::Narrowed => {
                 hotpath::count_incremental_event();
-                intersect_ranges_into(&self.rem, &self.targets, &mut self.rem_scratch);
+                intersect_ranges_into(&self.rem, targets, &mut self.rem_scratch);
                 std::mem::swap(&mut self.rem, &mut self.rem_scratch);
             }
         }
-    }
-
-    /// Whether nothing is missing: no remainders and no pending retries.
-    pub fn settled(&self) -> bool {
-        self.rem.is_empty() && self.retries.is_empty()
     }
 
     #[cfg(test)]
@@ -710,7 +708,11 @@ impl<'l> QueryState<'l> {
     }
 
     /// Test-build cross-check of the remainder state, called once per
-    /// driver iteration.
+    /// driver iteration: a settled *clone* of the remainders must equal
+    /// the mode's exact targets (for kNN, the direct decomposition at the
+    /// published radius) minus the oracle's cleared set. The live
+    /// remainders stay lazy, so the driver's probes still meet unsplit
+    /// entries.
     ///
     /// The cleared assert here is not redundant with the per-delta
     /// [`Self::audit_cleared`] in `refresh_frame`: that one fires only
@@ -718,16 +720,17 @@ impl<'l> QueryState<'l> {
     /// *missed* ones (say, a `learn` that failed to refresh its
     /// neighbour frame). This unconditional check catches the misses.
     #[cfg(test)]
-    pub fn audit_rem(&self) {
+    pub fn audit_rem<M: QueryMode<Target = T>>(&self, mode: &M) {
         let oracle_cleared = cleared_regions(&self.log, &self.know, self.layout);
         assert_eq!(
             self.cleared.as_slice(),
             oracle_cleared.as_slice(),
             "incremental cleared set diverged from the from-scratch oracle"
         );
-        let oracle_rem = subtract_ranges(&self.targets, &oracle_cleared);
+        let oracle_rem = subtract_ranges(&mode.audit_targets(), &oracle_cleared);
         assert_eq!(
-            self.rem, oracle_rem,
+            mode.settled(&self.rem),
+            oracle_rem,
             "incremental remainders diverged from the from-scratch oracle"
         );
     }
@@ -961,31 +964,25 @@ mod tests {
         let l = layout();
         let mut qs = QueryState::new(&l, 1000);
         // Target the whole space; prime the remainder state.
-        qs.refresh_targets(|_, out| {
-            out.clear();
-            out.push(HcRange::new(0, 1000));
-            TargetsChange::Replaced
-        });
-        assert_eq!(qs.rem(), &[HcRange::new(10, 1000)]);
+        qs.refresh_targets(TargetsChange::Replaced, &[HcRange::new(0, 1000)]);
+        assert_eq!(qs.rem, &[HcRange::new(10, 1000)]);
         // Resolving frame 1 completely clears [20, 25] (no bound for 2 yet).
         qs.note_attempted(1, 2, 0);
         qs.resolve_header(1, 2, 0, 20);
         qs.note_attempted(1, 2, 1);
         qs.resolve_header(1, 2, 1, 25);
-        assert_eq!(qs.rem(), &[HcRange::new(10, 19), HcRange::new(26, 1000)]);
+        assert_eq!(qs.rem, &[HcRange::new(10, 19), HcRange::new(26, 1000)]);
         // Learning frame 2's bound extends the cleared gap to 29.
         qs.learn(2, 30);
-        assert_eq!(qs.rem(), &[HcRange::new(10, 19), HcRange::new(30, 1000)]);
-        qs.audit_rem();
+        assert_eq!(qs.rem, &[HcRange::new(10, 19), HcRange::new(30, 1000)]);
+        qs.audit_cleared();
         // Narrowing the targets to a subset intersects the remainders in
         // place — the cleared set is not consulted.
-        qs.refresh_targets(|_, out| {
-            out.clear();
-            out.extend([HcRange::new(0, 15), HcRange::new(500, 600)]);
-            TargetsChange::Narrowed
-        });
-        assert_eq!(qs.rem(), &[HcRange::new(10, 15), HcRange::new(500, 600)]);
-        qs.audit_rem();
+        let narrowed = [HcRange::new(0, 15), HcRange::new(500, 600)];
+        qs.refresh_targets(TargetsChange::Narrowed, &narrowed);
+        assert_eq!(qs.rem, &[HcRange::new(10, 15), HcRange::new(500, 600)]);
+        let cleared = cleared_regions(&qs.log, &qs.know, &l);
+        assert_eq!(qs.rem, subtract_ranges(&narrowed, &cleared));
     }
 
     #[test]

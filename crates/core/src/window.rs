@@ -15,7 +15,6 @@ use dsi_hilbert::HcRange;
 
 use crate::build::{DsiAir, DsiPacket};
 use crate::client::{run_query, QueryMode, TargetsChange};
-use crate::state::Knowledge;
 
 struct WindowMode {
     window: Rect,
@@ -26,14 +25,18 @@ struct WindowMode {
 }
 
 impl QueryMode for WindowMode {
-    fn refresh_targets(&mut self, _know: &Knowledge, out: &mut Vec<HcRange>) -> TargetsChange {
+    type Target = HcRange;
+
+    fn refresh_targets(&mut self) -> TargetsChange {
         if self.published {
             return TargetsChange::Unchanged;
         }
         self.published = true;
-        out.clear();
-        out.extend_from_slice(&self.segments);
         TargetsChange::Replaced
+    }
+
+    fn targets(&self) -> &[HcRange] {
+        &self.segments
     }
 
     fn on_header(&mut self, o: &Object) -> bool {

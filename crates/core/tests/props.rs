@@ -10,6 +10,7 @@ use dsi_core::knn_testkit::CandSet;
 use dsi_core::{DsiAir, DsiConfig, FramingPolicy, KnnStrategy, ReorgStyle};
 use dsi_datagen::{uniform, SpatialDataset};
 use dsi_geom::{Point, Rect};
+use dsi_hilbert::{LazyCircle, LazyRanges};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = DsiConfig> {
@@ -269,7 +270,8 @@ proptest! {
 // loss (many cycles, many shrinks) grew it without bound. Distances now
 // live on the target ranges themselves, so the peak memory a query ever
 // holds is one decomposition plus the candidate set — independent of how
-// many shrinks the channel forces.
+// many shrinks the channel forces. (A lazy rim holds fewer: an unsplit
+// block counts once.)
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -293,22 +295,21 @@ proptest! {
         let mut tuner = Tuner::tune_in(air.program(), start, LossModel::iid(theta), start_seed);
         let (got, probe) = air.knn_query_probed(&mut tuner, q, k, strategy);
         prop_assert_eq!(got, ds.brute_knn(q, k.min(n)));
-        // Held range memory (current decomposition + swap buffer) stays
-        // flat across shrinks: the epochs together produced strictly more
-        // than the client ever held, no matter how many shrinks loss
-        // forced. The dropped `(lo, hi) → dist` cache accumulated
-        // `total_ranges` instead — a reintroduced accumulate-forever
-        // structure drives `peak_live_ranges` back toward it and fails
-        // this. (Each epoch emits ≥ 1 range while candidates exist, and
-        // the peak covers at most two consecutive epochs, so three or
-        // more epochs guarantee a strict gap.)
-        if probe.refreshes >= 3 {
-            prop_assert!(
-                probe.total_ranges > probe.peak_live_ranges,
-                "refreshes {} produced {} ranges total but peak held was {}",
-                probe.refreshes, probe.total_ranges, probe.peak_live_ranges
-            );
-        }
+        // Held range memory stays within one decomposition, no matter how
+        // many shrinks loss forced: every held target is a block of the
+        // circle published at the time, or an unsplit block holding at
+        // least one. The dropped
+        // `(lo, hi) → dist` cache accumulated ranges across shrinks — a
+        // reintroduced accumulate-forever structure pushes
+        // `peak_live_ranges` past the bound and fails this.
+        let mut circle = LazyCircle::new(air.curve(), air.mapper(), q);
+        circle.narrow(probe.peak_live_r2);
+        circle.settle_all();
+        prop_assert!(
+            probe.peak_live_ranges <= circle.entries().len(),
+            "held {} target blocks at a radius whose decomposition has {}",
+            probe.peak_live_ranges, circle.entries().len()
+        );
         // Candidates are keyed by the HC of a real object: never more
         // entries than objects.
         prop_assert!(probe.peak_cands <= n);

@@ -11,8 +11,10 @@
 //!   `H` of the window-query algorithm (paper Algorithm 1, step 1).
 //! * [`ranges_in_circle_with_dist_into`] — direct decomposition of a kNN
 //!   search circle, pruning quadrants outside the circle *during* the
-//!   descent, with [`narrow_ranges_to_circle_into`] refining a previous
-//!   decomposition when the circle shrinks (paper §3.4–3.5).
+//!   descent; [`LazyCircle`] narrows it as the circle shrinks in one
+//!   pass, splitting a rim block only when a probe reaches it (paper
+//!   §3.4–3.5). [`LazyRanges`] holds the probes, written once for lazy
+//!   and exact range lists alike.
 //! * [`min_dist2_to_range`] — the exact minimum distance from a query point
 //!   to any cell of an HC interval; this is what lets the kNN algorithms
 //!   decide whether a not-yet-broadcast HC region can still contain a
@@ -31,7 +33,7 @@ mod ranges;
 pub use curve::HilbertCurve;
 pub use dist::min_dist2_to_range;
 pub use ranges::{
-    merge_ranges, narrow_ranges_to_circle_into, ranges_in_cell_rect,
-    ranges_in_circle_with_dist_into, ranges_in_rect, ranges_in_rect_into,
-    ranges_in_rect_with_dist_into, DistRange, HcRange,
+    merge_ranges, ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect,
+    ranges_in_rect_into, ranges_in_rect_with_dist_into, DistRange, HcRange, HcSpan, LazyCircle,
+    LazyRanges, Reach,
 };

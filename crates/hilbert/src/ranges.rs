@@ -55,6 +55,138 @@ impl HcRange {
     }
 }
 
+/// An HC interval plus whatever its owner tags it with (for kNN targets,
+/// circle distance bounds). Lets one list algorithm — subtracting,
+/// intersecting, probing — serve plain and annotated ranges alike.
+pub trait HcSpan: Copy + PartialEq + std::fmt::Debug {
+    /// The interval.
+    fn range(&self) -> HcRange;
+    /// The same tag over another interval.
+    fn with_range(self, range: HcRange) -> Self;
+}
+
+impl HcSpan for HcRange {
+    #[inline]
+    fn range(&self) -> HcRange {
+        *self
+    }
+
+    #[inline]
+    fn with_range(self, range: HcRange) -> Self {
+        range
+    }
+}
+
+/// Where a probe reads a list entry: the one cell it must know exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// The entry's first cell at or after this position.
+    From(u64),
+    /// The entry's last cell before this position.
+    Before(u64),
+}
+
+impl Reach {
+    /// The part of `r` the probe reads (never empty for an entry the
+    /// probe reached), and whether it reads it from the far end.
+    pub fn clip(self, r: HcRange) -> (HcRange, bool) {
+        match self {
+            Reach::From(x) => (HcRange::new(r.lo.max(x), r.hi), false),
+            Reach::Before(x) => (HcRange::new(r.lo, r.hi.min(x - 1)), true),
+        }
+    }
+}
+
+/// A sorted list of disjoint spans some of which may be *lazy*: an entry
+/// standing for a set of exact sub-ranges that has not been computed yet.
+/// The probes answer as if every entry were exact, refining only the
+/// entries they reach, and those only as far as the answer needs.
+pub trait LazyRanges {
+    /// The list's entry type.
+    type Item: HcSpan;
+
+    /// The current entries, sorted and disjoint.
+    fn items(&self) -> &[Self::Item];
+
+    /// Makes entry `i` exact where `reach` reads it — replacing it, and
+    /// possibly neighbours that share its origin, by exact and lazy parts
+    /// such that every entry overlapping the read part up to the cell
+    /// read is exact — and returns `true`; returns `false`, changing
+    /// nothing, if entry `i` already was exact.
+    fn settle(&mut self, i: usize, reach: Reach) -> bool;
+
+    /// The first cell at or after `x`.
+    fn first_from(&mut self, x: u64) -> Option<u64> {
+        loop {
+            let items = self.items();
+            let i = items.partition_point(|s| s.range().hi < x);
+            let r = items.get(i)?.range();
+            if !self.settle(i, Reach::From(x)) {
+                return Some(r.lo.max(x));
+            }
+        }
+    }
+
+    /// The last cell before `x`.
+    fn last_below(&mut self, x: u64) -> Option<u64> {
+        loop {
+            let i = self
+                .items()
+                .partition_point(|s| s.range().lo < x)
+                .checked_sub(1)?;
+            let r = self.items()[i].range();
+            if !self.settle(i, Reach::Before(x)) {
+                return Some(r.hi.min(x - 1));
+            }
+        }
+    }
+
+    /// Whether any cell lies in the half-open interval `[lb, ub)`.
+    fn any_in(&mut self, lb: u64, ub: u64) -> bool {
+        loop {
+            let items = self.items();
+            let i = items.partition_point(|s| s.range().hi < lb);
+            match items.get(i) {
+                Some(s) if s.range().lo < ub => {}
+                _ => return false,
+            }
+            if !self.settle(i, Reach::From(lb)) {
+                return true;
+            }
+        }
+    }
+
+    /// Whether the list holds no cell at all.
+    fn is_exhausted(&mut self) -> bool {
+        self.first_from(0).is_none()
+    }
+
+    /// Settles every entry; what is left is the exact list.
+    fn settle_all(&mut self) {
+        let mut i = 0;
+        while i < self.items().len() {
+            let lo = self.items()[i].range().lo;
+            if !self.settle(i, Reach::From(lo)) {
+                i += 1;
+            }
+        }
+    }
+}
+
+/// An exact list: nothing to settle, every probe is a binary search.
+impl LazyRanges for &[HcRange] {
+    type Item = HcRange;
+
+    fn items(&self) -> &[HcRange] {
+        self
+    }
+
+    #[inline]
+    fn settle(&mut self, _i: usize, _reach: Reach) -> bool {
+        false
+    }
+}
+
 /// Computes the target segment set `H` for a continuous query window.
 ///
 /// `rect` is intersected with the grid; cells whose extent intersects the
@@ -159,7 +291,8 @@ pub fn ranges_in_rect_with_dist_into(
 /// with cells inside the shrink annulus — need re-splitting. Both bounds
 /// are partition-independent (the extreme cell's coordinates are evaluated
 /// with the same expressions regardless of which aligned block emitted
-/// it), so a narrowed decomposition is bit-identical to a direct one.
+/// it), so a range split on its own is bit-identical to the same cells of
+/// a direct decomposition ([`LazyCircle`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistRange {
     /// The HC interval.
@@ -170,6 +303,18 @@ pub struct DistRange {
     /// Exact maximum over the range's cells of each cell's minimum squared
     /// distance — the radius below which the range must be re-split.
     pub max_min_d2: f64,
+}
+
+impl HcSpan for DistRange {
+    #[inline]
+    fn range(&self) -> HcRange {
+        self.range
+    }
+
+    #[inline]
+    fn with_range(self, range: HcRange) -> Self {
+        Self { range, ..self }
+    }
 }
 
 /// Decomposes the closed circle `dist2(center, ·) <= r2` directly into
@@ -190,56 +335,199 @@ pub fn ranges_in_circle_with_dist_into(
     out: &mut Vec<DistRange>,
 ) {
     out.clear();
-    let clip = HcRange::new(0, curve.max_d());
-    let ctx = CircleCtx::new(mapper, center, r2);
-    circle_descend(&ctx, 0, 0, curve.order(), 0, 0, clip, out);
+    let mut ctx = CircleCtx::new(mapper, center, r2);
+    circle_descend(&mut ctx, 0, 0, curve.order(), 0, 0, out);
 }
 
-/// Narrows a previous circle decomposition to a smaller circle (the kNN
-/// search space only ever shrinks). Ranges whose every cell left the
-/// circle (`min_d2 > r2`) are dropped, ranges whose every cell is still
-/// inside (`max_min_d2 <= r2`) are copied verbatim, and only ranges with
-/// cells in the shrink annulus are re-split — by a clipped descent that
-/// starts at the range's containing block (integer jump, no root walk).
-/// The cost therefore scales with the size of the *shrink*, not with the
-/// circle.
+/// A kNN search circle decomposed lazily (paper §3.4: the circle only
+/// ever shrinks).
 ///
-/// `prev` must be a decomposition produced by
-/// [`ranges_in_circle_with_dist_into`] (or a previous narrowing) for the
-/// same `center` and a radius `>= r2`; the result then equals the direct
-/// decomposition at `r2` exactly, distances included.
-pub fn narrow_ranges_to_circle_into(
-    curve: &HilbertCurve,
-    mapper: &GridMapper,
-    center: Point,
-    r2: f64,
-    prev: &[DistRange],
+/// The entries are aligned quadtree blocks, sorted by HC, each with the
+/// exact [`DistRange`] bounds of its cells. At the current radius a block
+/// with `max_min_d2 <= r2` is *exact*: every cell is in the circle, and it
+/// is a block the direct decomposition emits whole. A block with
+/// `max_min_d2 > r2` is *lazy*: it straddles the circle and stands for
+/// the circle cells it holds (at least one: `min_d2 <= r2`), computed only
+/// when a probe reads it — and then only along the probe's path
+/// ([`Self::refine`]).
+///
+/// Narrowing is one linear pass with no descent: a block whose every cell
+/// left the circle (`min_d2 > r2`) is dropped, every other one is kept as
+/// it is — exact if all its cells are still inside, lazy otherwise. Both
+/// bounds are exact over a block's cells, so a block refined on its own
+/// yields the same blocks, bounds included, as the direct decomposition
+/// over its span; merging adjacent exact blocks gives the direct
+/// decomposition's maximal ranges.
+#[derive(Debug, Clone)]
+pub struct LazyCircle {
+    curve: HilbertCurve,
+    ctx: CircleCtx,
+    entries: Vec<DistRange>,
+    /// Scratch for the parts of one refinement.
+    buf: Vec<DistRange>,
+}
+
+impl LazyCircle {
+    /// The whole grid as one block at an infinite radius: exact until the
+    /// first finite radius makes it lazy.
+    pub fn new(curve: &HilbertCurve, mapper: &GridMapper, center: Point) -> Self {
+        let ctx = CircleCtx::new(mapper, center, f64::INFINITY);
+        let side = curve.side();
+        Self {
+            curve: *curve,
+            entries: vec![DistRange {
+                range: HcRange::new(0, curve.max_d()),
+                min_d2: ctx.block_min_d2(0, 0, side),
+                max_min_d2: ctx.block_max_min_d2(0, 0, side),
+            }],
+            ctx,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Shrinks the circle to `r2` (which must not exceed the current
+    /// radius) in one pass: drops the blocks left wholly outside.
+    pub fn narrow(&mut self, r2: f64) {
+        debug_assert!(r2 <= self.ctx.r2, "the circle only shrinks");
+        self.ctx.r2 = r2;
+        self.entries.retain(|e| e.min_d2 <= r2);
+    }
+
+    /// The current squared radius.
+    pub fn r2(&self) -> f64 {
+        self.ctx.r2
+    }
+
+    /// The entries, sorted by HC.
+    pub fn entries(&self) -> &[DistRange] {
+        &self.entries
+    }
+
+    /// Whether an entry carrying `e`'s bounds is lazy at the current
+    /// radius: some of its cells are outside the circle.
+    #[inline]
+    pub fn is_lazy(&self, e: &DistRange) -> bool {
+        e.max_min_d2 > self.ctx.r2
+    }
+
+    /// Refines lazy block `i` just enough to resolve the first circle cell
+    /// of `part` (a part of the block), or with `last` its last one: the
+    /// descent follows the probe's path, blocks off it stay lazy whole,
+    /// blocks wholly outside the circle are dropped. Afterwards every
+    /// entry overlapping `part` up to that cell is exact, and none is
+    /// lazy there if `part` holds no circle cell at all. Replaces the
+    /// block in place and returns the index range of its parts.
+    pub fn refine(&mut self, i: usize, part: HcRange, last: bool) -> std::ops::Range<usize> {
+        let block = self.entries[i].range;
+        debug_assert!(self.is_lazy(&self.entries[i]), "entry {i} is exact");
+        debug_assert!(block.lo <= part.lo && part.hi <= block.hi);
+        let (x0, y0, level, state, base) = block_containing(&self.curve, block);
+        debug_assert_eq!(base, block.lo, "entries are whole blocks");
+        self.buf.clear();
+        let mut found = false;
+        refine_descend(
+            &mut self.ctx,
+            x0,
+            y0,
+            level,
+            state,
+            base,
+            part,
+            last,
+            &mut found,
+            &mut self.buf,
+        );
+        if last {
+            self.buf.reverse();
+        }
+        let n = self.buf.len();
+        self.entries.splice(i..=i, self.buf.drain(..));
+        i..i + n
+    }
+
+    /// Blocks visited by every refinement so far: the circle's whole
+    /// descent work.
+    pub fn descent_blocks(&self) -> u64 {
+        self.ctx.visits
+    }
+}
+
+impl LazyRanges for LazyCircle {
+    type Item = DistRange;
+
+    fn items(&self) -> &[DistRange] {
+        &self.entries
+    }
+
+    fn settle(&mut self, i: usize, reach: Reach) -> bool {
+        if !self.is_lazy(&self.entries[i]) {
+            return false;
+        }
+        let (part, last) = reach.clip(self.entries[i].range);
+        self.refine(i, part, last);
+        true
+    }
+}
+
+/// The descent of one [`LazyCircle::refine`] step: emits the parts of the
+/// block at `(x0, y0, level)` — in curve order, or reversed with `last` —
+/// descending only while the first (last) circle cell of `part` is not
+/// found. A block wholly inside the circle is emitted exact (a single cell
+/// always is), one off the path is emitted lazy without descending, one
+/// wholly outside is dropped.
+#[allow(clippy::too_many_arguments)]
+fn refine_descend(
+    ctx: &mut CircleCtx,
+    x0: u32,
+    y0: u32,
+    level: u8,
+    state: u8,
+    base: u64,
+    part: HcRange,
+    last: bool,
+    found: &mut bool,
     out: &mut Vec<DistRange>,
 ) {
-    out.clear();
-    let ctx = CircleCtx::new(mapper, center, r2);
-    let mut i = 0usize;
-    while i < prev.len() {
-        let dr = prev[i];
-        if dr.min_d2 > r2 {
-            i += 1;
-            continue;
-        }
-        if dr.max_min_d2 <= r2 {
-            // A kept range can never merge with its neighbours: maximality
-            // of `prev` guarantees a gap on both sides, and re-splits only
-            // shrink ranges. Whole runs of keeps therefore copy as one
-            // memcpy instead of going through the merging emitter.
-            let start = i;
-            while i < prev.len() && prev[i].min_d2 <= r2 && prev[i].max_min_d2 <= r2 {
-                i += 1;
-            }
-            out.extend_from_slice(&prev[start..i]);
-        } else {
-            let (x0, y0, level, state, base) = block_containing(curve, dr.range);
-            circle_descend(&ctx, x0, y0, level, state, base, dr.range, out);
-            i += 1;
-        }
+    ctx.visits += 1;
+    let bs = 1u32 << level;
+    let min_d2 = ctx.block_min_d2(x0, y0, bs);
+    if min_d2 > ctx.r2 {
+        return;
+    }
+    let range = HcRange::new(base, base + (1u64 << (2 * level)) - 1);
+    let max_min_d2 = ctx.block_max_min_d2(x0, y0, bs);
+    let entry = DistRange {
+        range,
+        min_d2,
+        max_min_d2,
+    };
+    if max_min_d2 <= ctx.r2 {
+        *found |= range.overlaps(&part);
+        out.push(entry);
+        return;
+    }
+    if *found || !range.overlaps(&part) {
+        out.push(entry);
+        return;
+    }
+    let half = bs >> 1;
+    let child_span = 1u64 << (2 * (level - 1));
+    let s = state as usize;
+    for n in 0..4 {
+        let k = if last { 3 - n } else { n };
+        let (dx, dy) = CHILD_ORDER[s][k];
+        refine_descend(
+            ctx,
+            x0 + dx * half,
+            y0 + dy * half,
+            level - 1,
+            CHILD_STATE[s][k],
+            base + k as u64 * child_span,
+            part,
+            last,
+            found,
+            out,
+        );
     }
 }
 
@@ -262,6 +550,7 @@ fn emit_dist_range(out: &mut Vec<DistRange>, dr: DistRange) {
 /// visited block. All coordinate expressions stay of the
 /// `origin + index × cell_side` form [`GridMapper::cell_rect`] uses, so
 /// distances remain bit-identical to cell-level evaluation.
+#[derive(Debug, Clone)]
 struct CircleCtx {
     ox: f64,
     oy: f64,
@@ -269,6 +558,8 @@ struct CircleCtx {
     cx: f64,
     cy: f64,
     r2: f64,
+    /// Blocks visited by the descents run with this context.
+    visits: u64,
 }
 
 impl CircleCtx {
@@ -281,6 +572,7 @@ impl CircleCtx {
             cx: center.x,
             cy: center.y,
             r2,
+            visits: 0,
         }
     }
 
@@ -314,52 +606,42 @@ impl CircleCtx {
     }
 }
 
-/// Curve-order block descent over the circle `dist2(center, ·) <= r2`,
-/// restricted to HC values in `clip`. Prunes blocks whose minimum distance
-/// exceeds `r2` *before* recursing; emits a whole block as soon as every
-/// one of its cells meets both the clip interval and the circle. Emissions
-/// arrive in ascending HC order, so merging is a single look-back.
-#[allow(clippy::too_many_arguments)]
+/// Curve-order block descent over the circle `dist2(center, ·) <= r2`.
+/// Prunes blocks whose minimum distance exceeds `r2` *before* recursing;
+/// emits a whole block as soon as every one of its cells meets the
+/// circle. Emissions arrive in ascending HC order, so merging is a single
+/// look-back.
 fn circle_descend(
-    ctx: &CircleCtx,
+    ctx: &mut CircleCtx,
     x0: u32,
     y0: u32,
     level: u8,
     state: u8,
     base: u64,
-    clip: HcRange,
     out: &mut Vec<DistRange>,
 ) {
-    let span = HcRange::new(base, base + (1u64 << (2 * level)) - 1);
-    if !span.overlaps(&clip) {
-        return;
-    }
+    ctx.visits += 1;
     let bs = 1u32 << level;
     let min_d2 = ctx.block_min_d2(x0, y0, bs);
     if min_d2 > ctx.r2 {
         return;
     }
-    if clip.lo <= span.lo && span.hi <= clip.hi {
-        // A level-0 block is a single cell: overlapping the clip means
-        // contained in it, so this branch catches every reached cell and
-        // the recursion below never splits one. The cell-max bound is
-        // computed only here — pruned and recursed blocks never pay for
-        // it. A block whose farthest cell still meets the circle is
-        // emitted whole: every one of its cells belongs to the output.
-        let max_min_d2 = ctx.block_max_min_d2(x0, y0, bs);
-        if level == 0 || max_min_d2 <= ctx.r2 {
-            emit_dist_range(
-                out,
-                DistRange {
-                    range: span,
-                    min_d2,
-                    max_min_d2,
-                },
-            );
-            return;
-        }
+    // The cell-max bound is computed only past the pruning test. A block
+    // whose farthest cell still meets the circle is emitted whole: every
+    // one of its cells belongs to the output. A single cell always is.
+    let max_min_d2 = ctx.block_max_min_d2(x0, y0, bs);
+    if max_min_d2 <= ctx.r2 {
+        let span = HcRange::new(base, base + (1u64 << (2 * level)) - 1);
+        emit_dist_range(
+            out,
+            DistRange {
+                range: span,
+                min_d2,
+                max_min_d2,
+            },
+        );
+        return;
     }
-    debug_assert!(level > 0, "a reached cell is always emitted");
     let half = bs >> 1;
     let child_span = 1u64 << (2 * (level - 1));
     let s = state as usize;
@@ -371,7 +653,6 @@ fn circle_descend(
             level - 1,
             CHILD_STATE[s][k],
             base + k as u64 * child_span,
-            clip,
             out,
         );
     }
@@ -399,8 +680,7 @@ fn block_extent(mapper: &GridMapper, x0: u32, y0: u32, level: u8) -> Rect {
 /// `(x0, y0, level, orientation, base)` — found by walking the base-4
 /// digits of `r.lo` down from the root through the traversal tables.
 /// Integer work only: this is what lets a clipped circle descent start at
-/// the range itself instead of re-descending from the root (the dominant
-/// cost of narrowing a decomposition with thousands of ranges).
+/// the range itself instead of re-descending from the root.
 fn block_containing(curve: &HilbertCurve, r: HcRange) -> (u32, u32, u8, u8, u64) {
     let order = curve.order();
     // Base-4 digits in which lo and hi differ = levels that must stay
@@ -704,24 +984,51 @@ mod tests {
     }
 
     #[test]
-    fn narrowing_equals_direct_decomposition() {
+    fn settled_lazy_circle_equals_direct_decomposition() {
         let c = HilbertCurve::new(4);
         let m = GridMapper::unit_square(4);
         for (cx, cy) in [(0.4, 0.6), (0.05, 0.95), (-0.2, 0.5), (1.1, -0.1)] {
             let q = Point::new(cx, cy);
-            let radii = [1.6, 0.9, 0.41, 0.4, 0.17, 0.03, 0.0];
-            let mut prev = Vec::new();
-            ranges_in_circle_with_dist_into(&c, &m, q, radii[0] * radii[0], &mut prev);
-            for w in radii.windows(2) {
-                let r2 = w[1] * w[1];
-                let mut narrowed = Vec::new();
-                narrow_ranges_to_circle_into(&c, &m, q, r2, &prev, &mut narrowed);
+            let mut lazy = LazyCircle::new(&c, &m, q);
+            for r in [1.6, 0.9, 0.41, 0.4, 0.17, 0.03, 0.0] {
+                let r2 = r * r;
+                lazy.narrow(r2);
+                // Settle a copy fully; the live circle stays lazy, so the
+                // next narrowing starts from unsplit blocks.
+                let mut settled = lazy.clone();
+                settled.settle_all();
+                let mut merged = Vec::new();
+                for &e in settled.entries() {
+                    emit_dist_range(&mut merged, e);
+                }
                 let mut direct = Vec::new();
                 ranges_in_circle_with_dist_into(&c, &m, q, r2, &mut direct);
-                assert_eq!(narrowed, direct, "narrow {} -> {} at {q:?}", w[0], w[1]);
-                prev = narrowed;
+                assert_eq!(merged, direct, "radius {r} at {q:?}");
             }
         }
+    }
+
+    #[test]
+    fn refinement_follows_the_probe_path() {
+        let c = HilbertCurve::new(8);
+        let m = GridMapper::unit_square(8);
+        let q = Point::new(0.43, 0.58);
+        let mut lazy = LazyCircle::new(&c, &m, q);
+        lazy.narrow(0.3 * 0.3);
+        let first = lazy.first_from(0);
+        let mut direct = Vec::new();
+        ranges_in_circle_with_dist_into(&c, &m, q, 0.3 * 0.3, &mut direct);
+        let mut direct_visits = CircleCtx::new(&m, q, 0.3 * 0.3);
+        circle_descend(&mut direct_visits, 0, 0, 8, 0, 0, &mut Vec::new());
+        assert_eq!(first, Some(direct[0].range.lo));
+        // One root-to-cell path, each level's other children left whole.
+        assert!(
+            lazy.descent_blocks() <= 4 * 9,
+            "{} blocks",
+            lazy.descent_blocks()
+        );
+        assert!(lazy.entries().iter().any(|e| lazy.is_lazy(e)));
+        assert!(lazy.descent_blocks() * 10 < direct_visits.visits);
     }
 
     #[test]

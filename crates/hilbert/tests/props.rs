@@ -3,9 +3,8 @@
 
 use dsi_geom::{Cell, GridMapper, Point, Rect};
 use dsi_hilbert::{
-    min_dist2_to_range, narrow_ranges_to_circle_into, ranges_in_cell_rect,
-    ranges_in_circle_with_dist_into, ranges_in_rect, ranges_in_rect_with_dist_into, DistRange,
-    HcRange, HilbertCurve,
+    min_dist2_to_range, ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect,
+    ranges_in_rect_with_dist_into, DistRange, HcRange, HilbertCurve, LazyCircle, LazyRanges,
 };
 use proptest::prelude::*;
 
@@ -200,23 +199,70 @@ proptest! {
     }
 
     #[test]
-    fn narrowing_matches_direct_decomposition(
-        order in 2u8..7,
-        cx in -0.3..1.3f64, cy in -0.3..1.3f64,
-        r_big in 0.05..1.2f64,
-        shrink in 0.0..1.0f64,
+    fn lazy_circle_matches_direct_decomposition(
+        order in 2u8..8,
+        cx in -0.5..1.5f64, cy in -0.5..1.5f64,
+        radii in prop::collection::vec((any::<bool>(), 0.0..1.5f64, any::<u64>()), 1..7),
+        probes in prop::collection::vec((0u8..4, any::<u64>(), 0u64..80), 0..12),
     ) {
         let curve = HilbertCurve::new(order);
         let mapper = GridMapper::unit_square(order);
         let center = Point::new(cx, cy);
-        let mut prev = Vec::new();
-        ranges_in_circle_with_dist_into(&curve, &mapper, center, r_big * r_big, &mut prev);
-        let r_small = r_big * shrink;
-        let mut narrowed = Vec::new();
-        narrow_ranges_to_circle_into(&curve, &mapper, center, r_small * r_small, &prev, &mut narrowed);
-        let mut direct = Vec::new();
-        ranges_in_circle_with_dist_into(&curve, &mapper, center, r_small * r_small, &mut direct);
-        prop_assert_eq!(narrowed, direct);
+        // Shrinking radii, some exactly on a cell edge: the squared
+        // distance to a cell's nearest point is that cell's `min_d2`, and
+        // the `max_min_d2` of every range holding it.
+        let mut r2s: Vec<f64> = radii
+            .iter()
+            .map(|&(edge, r, seed)| {
+                if edge {
+                    let d = seed % (curve.max_d() + 1);
+                    mapper.cell_rect(curve.d2xy(d)).min_dist2(center)
+                } else {
+                    r * r
+                }
+            })
+            .collect();
+        r2s.sort_by(|a, b| b.partial_cmp(a).expect("radii are never NaN"));
+        let mut lazy = LazyCircle::new(&curve, &mapper, center);
+        for r2 in r2s {
+            lazy.narrow(r2);
+            let mut direct = Vec::new();
+            ranges_in_circle_with_dist_into(&curve, &mapper, center, r2, &mut direct);
+            let ranges: Vec<HcRange> = direct.iter().map(|d| d.range).collect();
+            let mut exact = &ranges[..];
+            // Every probe answers as the direct decomposition does; each
+            // settles only what it reaches, so later probes and the next
+            // shrink meet a partly split circle.
+            for &(kind, seed, len) in &probes {
+                let x = seed % (curve.max_d() + 2);
+                match kind {
+                    0 => prop_assert_eq!(lazy.first_from(x), exact.first_from(x), "first_from({})", x),
+                    1 => prop_assert_eq!(lazy.last_below(x), exact.last_below(x), "last_below({})", x),
+                    2 => prop_assert_eq!(
+                        lazy.any_in(x, x + len + 1),
+                        exact.any_in(x, x + len + 1),
+                        "any_in({}, {})", x, x + len + 1
+                    ),
+                    _ => prop_assert_eq!(lazy.is_exhausted(), exact.is_exhausted()),
+                }
+            }
+            // A full settle, adjacent blocks merged, is the direct
+            // decomposition, bit for bit.
+            let mut settled = lazy.clone();
+            settled.settle_all();
+            let mut merged: Vec<DistRange> = Vec::new();
+            for &e in settled.entries() {
+                match merged.last_mut() {
+                    Some(m) if m.range.hi + 1 == e.range.lo => {
+                        m.range.hi = e.range.hi;
+                        m.min_d2 = m.min_d2.min(e.min_d2);
+                        m.max_min_d2 = m.max_min_d2.max(e.max_min_d2);
+                    }
+                    _ => merged.push(e),
+                }
+            }
+            prop_assert_eq!(merged, direct, "r2 {}", r2);
+        }
     }
 
     #[test]
