@@ -100,7 +100,7 @@ pub(crate) trait QueryMode {
     fn refresh_targets(&mut self) -> TargetsChange;
 
     /// The current targets, sorted and disjoint. An entry may be lazy — a
-    /// kNN rim block standing for the exact ranges it splits into.
+    /// kNN rim block standing for the circle cells it holds.
     fn targets(&self) -> &[Self::Target];
 
     /// Makes remainder `rem[i]` exact where `reach` reads it, returning

@@ -11,20 +11,20 @@
 //! is farther than the k-th candidate.
 //!
 //! The search space is decomposed **as a circle**, not as its bounding
-//! square, and **lazily** ([`LazyCircle`]): every target carries exact
-//! distance bounds, and because the circle only shrinks, a radius
-//! tightening keeps or drops whole targets in one pass — a target left
-//! straddling the smaller circle stays unsplit, a rim block split only
-//! when a remainder probe of the driver reaches it (most are cleared or
-//! dropped by a later shrink first). The driver reads the targets by
-//! reference and intersects its remainders with them in place
-//! ([`TargetsChange::Narrowed`]); each remainder carries the bounds of the
-//! target it lies in, so splitting one target refines just the
-//! remainders inside it. Settled pieces equal the direct decomposition's
-//! ranges, bounds included, so every decision is the one an eagerly split
-//! circle would make. Range distances live on the ranges themselves, so
-//! no side cache of interval distances exists to grow without bound under
-//! loss.
+//! square, and **lazily** ([`LazyCircle`]): the targets are quadtree
+//! blocks with exact distance bounds, and because the circle only
+//! shrinks, a radius tightening keeps or drops whole blocks in one pass. A
+//! block left straddling the smaller circle stays unsplit until a
+//! remainder probe of the driver reads it, and is then refined only along
+//! the probe's path; most rim blocks are cleared or dropped by a later
+//! shrink first. The driver reads the targets by reference and intersects
+//! its remainders with them in place ([`TargetsChange::Narrowed`]); each
+//! remainder carries the bounds of the block it lies in, so refining one
+//! block re-derives just the remainders inside it. Refined blocks are the
+//! direct decomposition's blocks, bounds included, so every decision is
+//! the one an eagerly split circle would make. Distances live on the
+//! blocks themselves, so no side cache of interval distances exists to
+//! grow without bound under loss.
 //!
 //! Two navigation strategies from the paper:
 //!
@@ -66,24 +66,24 @@ pub enum KnnStrategy {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KnnProbe {
-    /// Largest number of target entries *held* at any one time, an
-    /// unsplit rim block counting as one. Every held entry is a range of
-    /// the direct decomposition at the published radius or an unsplit
-    /// block holding at least one (the unsplit whole space excepted), so
-    /// this stays within one decomposition across shrinks, however many:
-    /// a reintroduced accumulate-forever structure would push it past.
+    /// Largest number of target blocks *held* at any one time, an unsplit
+    /// rim block counting as one. Every held block is a block of the
+    /// direct decomposition at the published radius or an unsplit block
+    /// holding at least one, so this stays within one decomposition
+    /// across shrinks, however many: a reintroduced accumulate-forever
+    /// structure would push it past.
     pub peak_live_ranges: usize,
     /// The published squared radius while [`KnnProbe::peak_live_ranges`]
     /// entries were held: the circle whose direct decomposition bounds
     /// the peak.
     pub peak_live_r2: f64,
-    /// Target entries held right after each refresh, summed, an unsplit
-    /// block counting as one — what a never-evicted per-interval distance
-    /// cache would have accumulated.
+    /// Target blocks held right after each refresh, summed, an unsplit
+    /// block counting as one.
     pub total_ranges: usize,
     /// Circle blocks visited by every descent of the query: a refresh
-    /// descends nothing, a split of a rim block descends from that block.
-    /// The circle's whole decomposition work, as a deterministic count.
+    /// descends nothing, a probe reading a lazy block descends along its
+    /// path. The circle's whole decomposition work, as a deterministic
+    /// count.
     pub descent_blocks: u64,
     /// Number of target refreshes (circle shrinks reaching the driver).
     pub refreshes: usize,
@@ -302,13 +302,13 @@ struct KnnMode {
     strategy: KnnStrategy,
     cands: Candidates,
     /// The targets: the search circle at the radius last published,
-    /// decomposed lazily, with exact distance bounds on every entry.
-    /// Remainder liveness reads distances off the entries — there is no
+    /// decomposed lazily, with exact distance bounds on every block.
+    /// Remainder liveness reads distances off the blocks — there is no
     /// unbounded side cache of interval distances.
     circle: LazyCircle,
     /// Whether the initial target set has been published.
     published: bool,
-    /// Scratch for the remainders inside one split target.
+    /// Scratch for the remainders inside one refined block.
     rem_buf: Vec<DistRange>,
     /// Scratch for one table's batched `(hc, ub2)` offers.
     offer_buf: Vec<(u64, f64)>,
@@ -458,13 +458,13 @@ impl QueryMode for KnnMode {
         let r2 = self.cands.r2();
         let change = if !self.published {
             // Fewer than k candidates may be known: the whole space is in
-            // play, and the circle starts as one unsplit entry.
+            // play, and the circle starts as one unsplit block.
             TargetsChange::Replaced
         } else if r2 >= self.circle.r2() * REFRESH_HYSTERESIS {
             return TargetsChange::Unchanged;
         } else {
             // The circle only shrinks: narrowing keeps or drops whole
-            // targets, so the driver may intersect its remainders in
+            // blocks, so the driver may intersect its remainders in
             // place.
             TargetsChange::Narrowed
         };

@@ -1,6 +1,6 @@
 //! **DSI** — a fully distributed spatial index for wireless data broadcast.
 //!
-//! This crate reproduces the primary contribution of Lee & Zheng (ICDCS
+//! This crate reproduces the primary contribution of Lee & Zheng (ICDE
 //! 2005): a linear, fully distributed air index over a Hilbert-curve data
 //! ordering. Every frame of the broadcast cycle carries a small *index
 //! table* whose entries point exponentially far ahead (`r⁰, r¹, …` frames,

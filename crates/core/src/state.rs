@@ -509,13 +509,13 @@ pub(crate) fn subtract_ranges<T: HcSpan>(targets: &[T], cleared: &[HcRange]) -> 
 }
 
 /// `a ∩ b` into a caller-provided buffer (cleared first); each piece
-/// carries the tag of its `b` range. Both inputs must be sorted, disjoint
-/// and non-adjacent; the result is too. This is the remainder-narrowing
-/// kernel: when a mode reports its new targets are a subset of the old
+/// carries the tag of its `b` range. Both inputs must be sorted and
+/// disjoint; the result is too. This is the remainder-narrowing kernel:
+/// when a mode reports its new targets are a subset of the old
 /// ([`TargetsChange::Narrowed`]), the new remainders are exactly
 /// `old remainders ∩ new targets` — no cleared-set subtraction needed.
-/// The kNN mode also refines the remainders under a target it just split
-/// with it.
+/// The kNN mode also re-derives the remainders inside a block it just
+/// refined with it.
 pub(crate) fn intersect_ranges_into<T: HcSpan>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.clear();
     let (mut i, mut j) = (0usize, 0usize);
@@ -594,8 +594,8 @@ pub(crate) struct QueryState<'l, T> {
     /// `targets − cleared`, maintained incrementally; the targets
     /// themselves stay with the mode. Each entry keeps the tag of the
     /// target it lies in. Besides the deltas here, only a mode settling a
-    /// lazy entry rewrites it, replacing entries by the exact pieces they
-    /// stand for.
+    /// lazy entry rewrites it, replacing entries by their refined parts —
+    /// the same cells.
     pub rem: Vec<T>,
     /// Swap buffer for in-place remainder narrowing.
     rem_scratch: Vec<T>,
@@ -708,11 +708,11 @@ impl<'l, T: HcSpan> QueryState<'l, T> {
     }
 
     /// Test-build cross-check of the remainder state, called once per
-    /// driver iteration: a settled *clone* of the remainders must equal
-    /// the mode's exact targets (for kNN, the direct decomposition at the
-    /// published radius) minus the oracle's cleared set. The live
-    /// remainders stay lazy, so the driver's probes still meet unsplit
-    /// entries.
+    /// driver iteration: every remainder lies in one target and carries
+    /// its tag, and a settled *clone* of the remainders equals the mode's
+    /// exact targets (for kNN, the direct decomposition at the published
+    /// radius) minus the oracle's cleared set. The live remainders stay
+    /// lazy, so the driver's probes still meet unsplit entries.
     ///
     /// The cleared assert here is not redundant with the per-delta
     /// [`Self::audit_cleared`] in `refresh_frame`: that one fires only
@@ -727,6 +727,15 @@ impl<'l, T: HcSpan> QueryState<'l, T> {
             oracle_cleared.as_slice(),
             "incremental cleared set diverged from the from-scratch oracle"
         );
+        let targets = mode.targets();
+        for r in &self.rem {
+            let i = targets.partition_point(|t| t.range().hi < r.range().lo);
+            let t = targets.get(i).filter(|t| t.range().lo <= r.range().lo);
+            assert!(
+                t.is_some_and(|t| r.range().hi <= t.range().hi && t.with_range(r.range()) == *r),
+                "remainder {r:?} does not carry the tag of a target holding it"
+            );
+        }
         let oracle_rem = subtract_ranges(&mode.audit_targets(), &oracle_cleared);
         assert_eq!(
             mode.settled(&self.rem),

@@ -1,6 +1,6 @@
 //! 2-D geometry primitives shared by every crate of the DSI reproduction.
 //!
-//! The paper (Lee & Zheng, ICDCS 2005) works in a two-dimensional Euclidean
+//! The paper (Lee & Zheng, ICDE 2005) works in a two-dimensional Euclidean
 //! space where a coordinate is a pair of 8-byte floating point numbers.
 //! This crate provides the value types for that space — [`Point`], [`Rect`],
 //! [`Circle`] — together with the distance kernels used by the query

@@ -368,8 +368,8 @@ pub struct LazyCircle {
 }
 
 impl LazyCircle {
-    /// The whole grid as one block at an infinite radius: exact until the
-    /// first finite radius makes it lazy.
+    /// The whole grid as one block at an infinite radius, exact until a
+    /// radius leaves some of its cells outside.
     pub fn new(curve: &HilbertCurve, mapper: &GridMapper, center: Point) -> Self {
         let ctx = CircleCtx::new(mapper, center, f64::INFINITY);
         let side = curve.side();

@@ -1,5 +1,5 @@
 //! **dsi** — reproduction of *"DSI: A Fully Distributed Spatial Index for
-//! Wireless Data Broadcast"* (Lee & Zheng, ICDCS 2005).
+//! Wireless Data Broadcast"* (Lee & Zheng, ICDE 2005).
 //!
 //! This umbrella crate re-exports the whole workspace so applications can
 //! depend on a single crate:
