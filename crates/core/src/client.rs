@@ -363,12 +363,6 @@ fn fully_attempted(log: &ScanLog, t: u32, n_obj: u32) -> bool {
     log.get(t).is_some_and(|s| s.read_upto >= n_obj)
 }
 
-/// The last remainder cell (0 if none): the early-exit threshold of a
-/// frame's fresh reads.
-fn max_hi(rem: &mut impl LazyRanges) -> u64 {
-    rem.last_below(u64::MAX).unwrap_or(0)
-}
-
 /// Reads the (possibly multi-packet) index table at the current position.
 /// All-or-nothing: a lost packet discards the table — the client simply
 /// proceeds with its existing knowledge.
@@ -412,14 +406,15 @@ fn visit_frame<M: QueryMode>(
     let l = air.layout();
     let t = l.hc_index_of_slot(slot);
     let n_obj = l.objects_in_slot(slot);
-    // The early-exit threshold of fresh reads: the last remainder cell as
-    // the visit starts (nothing has changed since it was planned).
-    // Retry-only visits never read it.
+    // The early-exit threshold of fresh reads: the last remainder cell (0
+    // if none) as the visit starts — nothing has changed since it was
+    // planned. Retry-only visits never read it.
     let max_hi = if include_fresh {
-        max_hi(&mut Remainders {
+        let mut rem = Remainders {
             rem: &mut state.rem,
             mode: &mut *mode,
-        })
+        };
+        rem.last_below(u64::MAX).unwrap_or(0)
     } else {
         0
     };

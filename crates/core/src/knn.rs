@@ -839,6 +839,33 @@ mod tests {
         assert_eq!(got, ds.brute_knn(q, 5));
     }
 
+    /// A query point on a grid vertex puts every published radius on a
+    /// cell edge: a candidate cell's far corner is the near corner of its
+    /// diagonal neighbour, so that cell lies on the circle (`min_d2 ==
+    /// r2`) and must stay a target. The driver's audit compares the lazy
+    /// circle with the direct decomposition at each of those radii.
+    #[test]
+    fn grid_vertex_queries_keep_cells_on_the_circle() {
+        let ds = SpatialDataset::build(&uniform(400, 23), 8);
+        for cfg in [DsiConfig::paper_default(), DsiConfig::paper_reorganized()] {
+            let air = DsiAir::build(&ds, cfg);
+            for (qi, q) in [(0.5, 0.5), (0.25, 0.75), (0.0, 0.0)]
+                .into_iter()
+                .enumerate()
+            {
+                let q = Point::new(q.0, q.1);
+                for strategy in [KnnStrategy::Conservative, KnnStrategy::Aggressive] {
+                    for k in [1, 4, 10] {
+                        let start = (qi as u64 * 4_099) % air.program().len();
+                        let mut tuner = Tuner::tune_in(air.program(), start, LossModel::None, 3);
+                        let got = air.knn_query(&mut tuner, q, k, strategy);
+                        assert_eq!(got, ds.brute_knn(q, k), "q {q:?} k {k} {strategy:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn correct_under_loss_all_strategies() {
         let ds = SpatialDataset::build(&uniform(300, 21), 9);
