@@ -12,9 +12,9 @@
 //! * [`ranges_in_circle_with_dist_into`] — direct decomposition of a kNN
 //!   search circle, pruning quadrants outside the circle *during* the
 //!   descent; [`LazyCircle`] narrows it as the circle shrinks in one
-//!   pass, splitting a rim block only when a probe reaches it (paper
-//!   §3.4–3.5). [`LazyRanges`] holds the probes, written once for lazy
-//!   and exact range lists alike.
+//!   pass and refines a rim block, along the probe's path only, when a
+//!   probe reads it (paper §3.4–3.5). [`LazyRanges`] holds the probes,
+//!   written once for lazy and exact range lists alike.
 //! * [`min_dist2_to_range`] — the exact minimum distance from a query point
 //!   to any cell of an HC interval; this is what lets the kNN algorithms
 //!   decide whether a not-yet-broadcast HC region can still contain a
